@@ -7,12 +7,11 @@ cargo build --release
 cargo test -q
 cargo test --workspace -q
 # The sharded data plane must hold up under a parallel test harness too.
-# Counting-allocator tests are excluded here: they compare deltas of one
-# process-global allocation counter, which concurrent tests in the same
-# binary pollute; they already ran (serially) in the passes above.
-cargo test --workspace -q -- --test-threads=4 --skip alloc
+# The counting-allocator tests count per thread, so they run here as well.
+cargo test --workspace -q -- --test-threads=4
 cargo test --doc --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Swap throughput bench, smoke mode: runs the 1/2/4/8-shard matrix at a
 # tiny size and self-validates the emitted JSON (nonzero exit on failure).
 cargo run --release -p xfm-bench --bin xfm-swap-bench -- --smoke

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use xfm_compress::Corpus;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
-use xfm_sfm::{CpuBackend, SfmConfig, TraceConfig, TraceGenerator, Zpool};
+use xfm_sfm::{CpuBackend, SfmConfig, SwapPlane, TraceConfig, TraceGenerator, Zpool};
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 fn bench(c: &mut Criterion) {

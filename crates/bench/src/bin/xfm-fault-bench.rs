@@ -148,7 +148,7 @@ fn main() {
                     attempts <= MAX_ATTEMPTS,
                     "swap_out of page {i} livelocked after {MAX_ATTEMPTS} attempts"
                 );
-                match SwapPlane::swap_out(&backend, page, &data) {
+                match backend.swap_out(page, &data) {
                     Ok(_) => break,
                     // An injected store failure surfaces as a capacity
                     // verdict; the entry was never recorded, so retry.
@@ -184,7 +184,7 @@ fn main() {
                     attempts <= MAX_ATTEMPTS,
                     "swap_in of page {i} livelocked after {MAX_ATTEMPTS} attempts"
                 );
-                match SwapPlane::swap_in(&backend, page, i % 2 == 0) {
+                match backend.swap_in(page, i % 2 == 0) {
                     Ok((data, _)) => break data,
                     // Checksum caught an injected flip before the entry
                     // was consumed: the stored copy is intact, retry.

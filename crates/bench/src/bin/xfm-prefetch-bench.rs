@@ -37,7 +37,7 @@ use std::time::Instant;
 use xfm_compress::Corpus;
 use xfm_sfm::{
     AutoTuneConfig, AutoTuner, PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm,
-    ShardedSfmConfig,
+    ShardedSfmConfig, SwapPlane,
 };
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};

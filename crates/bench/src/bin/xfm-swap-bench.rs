@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use xfm_compress::Corpus;
-use xfm_sfm::{ColdScanConfig, CpuBackend, SfmConfig, ShardedSfm, ShardedSfmConfig};
+use xfm_sfm::{ColdScanConfig, CpuBackend, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
 

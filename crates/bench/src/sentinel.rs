@@ -491,7 +491,7 @@ const TIER_MAX_LATENCY_RISE: f64 = 4.0;
 /// promotion counts, per-tier residency after the fill, and the modeled
 /// (`virtual.*`) media latencies are deterministic: they must match
 /// exactly. Wall-clock per-tier fault latencies carry a generous
-/// ceiling ([`TIER_MAX_LATENCY_RISE`]); degraded-replica read-back
+/// ceiling (`TIER_MAX_LATENCY_RISE`); degraded-replica read-back
 /// throughput is floor-banded like any other throughput metric. The
 /// replica section's `lost_pages` must be zero in both documents, and a
 /// degraded read count of zero means the fail-over path was never
@@ -667,7 +667,7 @@ const SERVE_MAX_LATENCY_RISE: f64 = 4.0;
 ///   and at least one `best_effort` row reports admission sheds (the
 ///   quota machinery must be demonstrably exercised);
 /// - banded: per-tenant `fault_p50_ns`/`fault_p99_ns` carry the
-///   [`SERVE_MAX_LATENCY_RISE`] ceiling, and `total_ops` is
+///   `SERVE_MAX_LATENCY_RISE` ceiling, and `total_ops` is
 ///   floor-banded by the shared throughput tolerance.
 #[must_use]
 pub fn check_serve(baseline: &str, current: &str, tol: Tolerance) -> SentinelReport {

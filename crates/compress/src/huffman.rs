@@ -251,7 +251,7 @@ const PRIMARY_BITS: u32 = 10;
 
 /// A canonical Huffman decoder.
 ///
-/// Decoding peeks [`PRIMARY_BITS`] bits and resolves codes up to that
+/// Decoding peeks `PRIMARY_BITS` bits and resolves codes up to that
 /// length with one table load; longer (rare) codes fall back to the
 /// bit-at-a-time first-code arithmetic.
 #[derive(Debug, Clone, Default)]

@@ -1,63 +1,17 @@
 //! Proves the steady-state codec hot path performs no heap allocation.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator. The test
+//! The shared per-thread counting allocator wraps the system one. The test
 //! warms a [`Scratch`] up (first pages size every internal buffer), then
 //! turns the counter on and pushes more pages through
 //! `compress_into`/`decompress_into` with pre-reserved output buffers:
 //! the count must stay at zero. This pins the tentpole property — after
 //! warm-up, tokenize + entropy encode + bitstream emit touch no heap.
-//!
-//! This file intentionally holds a single `#[test]` so no concurrent
-//! test can allocate while the counter is armed.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::count_allocs;
 use xfm_compress::{AutoCodec, Codec, Corpus, Scratch, XDeflate, XDeflateFse, Xlz};
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Armed only on the test thread, so allocations from test-harness
-    /// service threads don't pollute the count. Const-initialized: the
-    /// first access inside the allocator hook must not itself allocate.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn note_alloc() {
-    let _ = ARMED.try_with(|armed| {
-        if armed.get() {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const PAGE: usize = 4096;
 
@@ -129,28 +83,26 @@ fn steady_state_hot_path_does_not_allocate() {
         .decompress_batch_into(&fse_srcs, &mut batch_dsts, &mut scratch)
         .unwrap();
 
-    ALLOC_CALLS.store(0, Ordering::SeqCst);
-    ARMED.with(|armed| armed.set(true));
-    for codec in codecs {
-        for page in &steady {
-            compressed.clear();
-            codec
-                .compress_into(page, &mut compressed, &mut scratch)
-                .unwrap();
-            restored.clear();
-            codec
-                .decompress_into(&compressed, &mut restored, &mut scratch)
-                .unwrap();
+    let ((), allocs) = count_allocs(|| {
+        for codec in codecs {
+            for page in &steady {
+                compressed.clear();
+                codec
+                    .compress_into(page, &mut compressed, &mut scratch)
+                    .unwrap();
+                restored.clear();
+                codec
+                    .decompress_into(&compressed, &mut restored, &mut scratch)
+                    .unwrap();
+            }
         }
-    }
-    for dst in &mut batch_dsts {
-        dst.clear();
-    }
-    xdef_fse
-        .decompress_batch_into(&fse_srcs, &mut batch_dsts, &mut scratch)
-        .unwrap();
-    ARMED.with(|armed| armed.set(false));
-    let allocs = ALLOC_CALLS.load(Ordering::SeqCst);
+        for dst in &mut batch_dsts {
+            dst.clear();
+        }
+        xdef_fse
+            .decompress_batch_into(&fse_srcs, &mut batch_dsts, &mut scratch)
+            .unwrap();
+    });
 
     // Validate outside the armed window (assert_eq formats on failure).
     for codec in codecs {

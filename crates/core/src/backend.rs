@@ -3,12 +3,12 @@
 //!
 //! Control flow mirrors the paper exactly:
 //!
-//! - `xfm_swap_out` (our [`XfmBackend::swap_out`]) checks SFM space plus
+//! - `xfm_swap_out` (our [`SwapPlane::swap_out_ctx`]) checks SFM space plus
 //!   NMA resources *lazily* (through each [`XfmDriver`]'s inferred SPM
 //!   occupancy), falls back to the CPU when the device rejects the
 //!   offload, and otherwise pushes the page into the
 //!   `Compress_Request_Queue`;
-//! - `xfm_swap_in` (our [`XfmBackend::swap_in`]) looks the page up in
+//! - `xfm_swap_in` (our [`SwapPlane::swap_in_into_ctx`]) looks the page up in
 //!   the entry table and calls `CPU_Fallback` **by default**, unless the
 //!   `do_offload` parameter is asserted (prefetch path), "as
 //!   applications may be sensitive to the decompression latencies
@@ -116,6 +116,7 @@ impl Default for XfmBackendConfig {
 ///
 /// ```
 /// use xfm_core::backend::{XfmBackend, XfmBackendConfig};
+/// use xfm_sfm::SwapPlane;
 /// use xfm_types::{Nanos, PageNumber};
 ///
 /// let b = XfmBackend::new(XfmBackendConfig::default());
@@ -507,67 +508,32 @@ impl XfmBackend {
     pub fn table_len(&self) -> usize {
         self.inner.lock().table.len()
     }
+}
 
-    /// Compresses `data` (one 4 KiB page) into the SFM under `page`,
-    /// offloading to the NMA when eligible.
-    ///
-    /// # Errors
-    ///
-    /// - [`Error::EntryExists`] if the page is already out;
-    /// - [`Error::SfmRegionFull`] if the region cannot hold it even
-    ///   after compaction;
-    /// - [`Error::InvalidConfig`] if `data` is not 4 KiB.
-    pub fn swap_out(&self, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
-        self.inner.lock().swap_out(TenantId::SYSTEM, page, data)
-    }
-
-    /// Like [`XfmBackend::swap_out`], but bills the stored bytes to
-    /// `tenant`: the entry records the owner, per-tenant series are
-    /// bumped, and the later swap-in is attributed back to the same
-    /// account. The context-free surface is this with
-    /// [`TenantId::SYSTEM`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XfmBackend::swap_out`].
-    pub fn swap_out_for(
+impl SwapPlane for XfmBackend {
+    /// Compresses `data` into the SFM, offloading to the NMA when
+    /// eligible (the paper's `xfm_swap_out`). The entry records
+    /// `ctx.tenant` as its owner and per-tenant series are bumped.
+    fn swap_out_ctx(
         &self,
-        tenant: TenantId,
+        ctx: &OpContext,
         page: PageNumber,
         data: &[u8],
-    ) -> Result<SwapOutcome> {
-        self.inner.lock().swap_out(tenant, page, data)
+    ) -> SwapResult<SwapOutcome> {
+        self.inner.lock().swap_out(ctx.tenant, page, data)
     }
 
-    /// Decompresses `page` back out of the SFM, removing its entry.
-    /// `do_offload` asserts the prefetch path (paper §6): demand faults
-    /// default to `CPU_Fallback`.
-    ///
-    /// # Errors
-    ///
-    /// - [`Error::EntryNotFound`] if the page is not in the SFM;
-    /// - [`Error::ChecksumMismatch`] if the fetched bytes fail
-    ///   verification — the entry and slot are left intact, so a retry
-    ///   re-reads the stored copy;
-    /// - [`Error::Corrupt`] if stored data fails to decompress.
-    pub fn swap_in(&self, page: PageNumber, do_offload: bool) -> Result<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        let outcome = self.inner.lock().swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// Like [`XfmBackend::swap_in`], but decompresses into the caller's
-    /// reusable buffer (`out` is cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XfmBackend::swap_in`].
-    pub fn swap_in_into(
+    /// Decompresses `page` back out of the SFM, removing its entry (the
+    /// paper's `xfm_swap_in`). `do_offload` asserts the prefetch path:
+    /// demand faults default to `CPU_Fallback`. The freed bytes are
+    /// credited to the entry's recorded owner.
+    fn swap_in_into_ctx(
         &self,
+        _ctx: &OpContext,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         self.inner.lock().swap_in_into(page, do_offload, out)
     }
 
@@ -576,150 +542,43 @@ impl XfmBackend {
     /// parallel over `threads` workers, then performs offload attempts
     /// and store-backs sequentially **in submission order**, so driver
     /// state, pool packing, statistics, and telemetry evolve exactly as
-    /// the equivalent sequence of [`XfmBackend::swap_out`] calls.
-    ///
-    /// Per-page failures (duplicate entries, wrong-sized pages, a full
-    /// region) come back as the corresponding slot's `Err` without
-    /// disturbing the rest of the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when `threads` is zero; per-page
-    /// errors are reported inside the result vector instead.
-    pub fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        self.inner
-            .lock()
-            .swap_out_batch(TenantId::SYSTEM, batch, threads)
-    }
-
-    /// Tenant-attributed form of [`XfmBackend::swap_out_batch`]: every
-    /// page in the batch is billed to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XfmBackend::swap_out_batch`].
-    pub fn swap_out_batch_for(
-        &self,
-        tenant: TenantId,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        self.inner.lock().swap_out_batch(tenant, batch, threads)
-    }
-
-    /// Compressed bytes currently resident per tenant, derived from the
-    /// live entry table (exact by construction: the sum over tenants
-    /// equals the pool's stored bytes).
-    #[must_use]
-    pub fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        self.inner.lock().table.tenant_bytes()
-    }
-
-    /// Whether `page` currently lives in the SFM.
-    #[must_use]
-    pub fn contains(&self, page: PageNumber) -> bool {
-        self.inner.lock().table.contains(page)
-    }
-
-    /// The paper's `xfm_compact()`: shifts pages with memcpys. The DDR
-    /// traffic is charged to the CPU path here (compaction runs on the
-    /// host in the prototype).
-    pub fn compact(&self) -> CompactReport {
-        let mut inner = self.inner.lock();
-        let report = inner.pool.compact();
-        inner.stats.ddr_bytes += report.moved_bytes * 2;
-        report
-    }
-
-    /// Aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> BackendStats {
-        self.inner.lock().stats
-    }
-
-    /// Zpool-level statistics.
-    #[must_use]
-    pub fn pool_stats(&self) -> ZpoolStats {
-        self.inner.lock().pool.stats()
-    }
-}
-
-impl SwapPlane for XfmBackend {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        XfmBackend::swap_out(self, page, data).map_err(SwapError::from)
-    }
-
-    fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        XfmBackend::swap_in_into(self, page, do_offload, out).map_err(SwapError::from)
-    }
-
-    fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        XfmBackend::swap_out_batch(self, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
-    }
-
-    fn contains(&self, page: PageNumber) -> bool {
-        XfmBackend::contains(self, page)
-    }
-
-    fn compact(&self) -> CompactReport {
-        XfmBackend::compact(self)
-    }
-
-    fn stats(&self) -> BackendStats {
-        XfmBackend::stats(self)
-    }
-
-    fn pool_stats(&self) -> ZpoolStats {
-        XfmBackend::pool_stats(self)
-    }
-
-    fn swap_out_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        XfmBackend::swap_out_for(self, ctx.tenant, page, data).map_err(SwapError::from)
-    }
-
+    /// the equivalent sequence of [`SwapPlane::swap_out_ctx`] calls.
+    /// Rejects `threads == 0` with [`Error::InvalidConfig`].
     fn swap_out_batch_ctx(
         &self,
         ctx: &OpContext,
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        XfmBackend::swap_out_batch_for(self, ctx.tenant, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
+        self.inner.lock().swap_out_batch(ctx.tenant, batch, threads)
     }
 
+    fn contains(&self, page: PageNumber) -> bool {
+        self.inner.lock().table.contains(page)
+    }
+
+    /// The paper's `xfm_compact()`: shifts pages with memcpys. The DDR
+    /// traffic is charged to the CPU path here (compaction runs on the
+    /// host in the prototype).
+    fn compact(&self) -> CompactReport {
+        let mut inner = self.inner.lock();
+        let report = inner.pool.compact();
+        inner.stats.ddr_bytes += report.moved_bytes * 2;
+        report
+    }
+
+    fn stats(&self) -> BackendStats {
+        self.inner.lock().stats
+    }
+
+    fn pool_stats(&self) -> ZpoolStats {
+        self.inner.lock().pool.stats()
+    }
+
+    /// Exact by construction: derived from the live entry table, so the
+    /// sum over tenants equals the pool's stored bytes.
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        XfmBackend::tenant_usage(self)
+        self.inner.lock().table.tenant_bytes()
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
@@ -1052,7 +911,7 @@ impl XfmInner {
         fill: u8,
         now: Nanos,
         sw: Option<Stopwatch>,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         let stored_len = self.store(tenant, page, vec![fill], CodecKind::SameFilled)?;
         let outcome = SwapOutcome {
             executed_on: ExecutedOn::Cpu,
@@ -1086,7 +945,7 @@ impl XfmInner {
     /// store-back, accounting, and telemetry. `packed` is the
     /// multi-channel container `data` packed to; `compress_ns` is how
     /// long packing took (0 when untraced). Shared between the
-    /// synchronous [`XfmBackend::swap_out`] and the batched pipeline, so
+    /// synchronous [`SwapPlane::swap_out_ctx`] and the batched pipeline, so
     /// both evolve driver state, pool packing, and statistics
     /// identically.
     #[allow(clippy::too_many_arguments)]
@@ -1099,7 +958,7 @@ impl XfmInner {
         compress_ns: u64,
         now: Nanos,
         sw: Option<Stopwatch>,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         let (bytes, codec_kind) = if packed.len() > self.config.sfm.max_compressed_len() {
             (data.to_vec(), CodecKind::Raw)
         } else {
@@ -1205,15 +1064,21 @@ impl XfmInner {
         Ok(outcome)
     }
 
-    fn swap_out(&mut self, tenant: TenantId, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
+    fn swap_out(
+        &mut self,
+        tenant: TenantId,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome> {
         if data.len() != PAGE_SIZE {
             return Err(Error::InvalidConfig(format!(
                 "swap_out requires a 4 KiB page, got {} bytes",
                 data.len()
-            )));
+            ))
+            .into());
         }
         if self.table.contains(page) {
-            return Err(Error::EntryExists { page: page.index() });
+            return Err(Error::EntryExists { page: page.index() }.into());
         }
         let now = self.now;
         self.advance_clock(now);
@@ -1237,11 +1102,11 @@ impl XfmInner {
         tenant: TenantId,
         batch: &[(PageNumber, Bytes)],
         threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
+    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
         if threads == 0 {
-            return Err(Error::InvalidConfig(
-                "swap_out_batch requires at least one thread".into(),
-            ));
+            return Err(
+                Error::InvalidConfig("swap_out_batch requires at least one thread".into()).into(),
+            );
         }
         /// How the pre-pass resolved one batch slot.
         enum Prep {
@@ -1284,8 +1149,11 @@ impl XfmInner {
             let r = match prep {
                 Prep::WrongSize(len) => Err(Error::InvalidConfig(format!(
                     "swap_out requires a 4 KiB page, got {len} bytes"
-                ))),
-                _ if self.table.contains(*page) => Err(Error::EntryExists { page: page.index() }),
+                ))
+                .into()),
+                _ if self.table.contains(*page) => {
+                    Err(Error::EntryExists { page: page.index() }.into())
+                }
                 Prep::SameFilled(fill) => {
                     let now = self.now;
                     self.advance_clock(now);
@@ -1310,7 +1178,7 @@ impl XfmInner {
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         let now = self.now;
         self.advance_clock(now);
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
@@ -1347,7 +1215,8 @@ impl XfmInner {
                 page: page.index(),
                 expected: entry.checksum,
                 got,
-            });
+            }
+            .into());
         }
         self.table.remove(page)?;
         self.pool.free(entry.handle)?;
@@ -1405,10 +1274,9 @@ impl XfmInner {
         let data = unpack_page(self.codec.as_ref(), &stored)?;
         let decompress_ns = dsw.as_ref().map_or(0, Stopwatch::elapsed_ns);
         if data.len() != PAGE_SIZE {
-            return Err(Error::Corrupt(format!(
-                "page {page} unpacked to {} bytes",
-                data.len()
-            )));
+            return Err(
+                Error::Corrupt(format!("page {page} unpacked to {} bytes", data.len())).into(),
+            );
         }
         out.extend_from_slice(&data);
         let outcome = if offloaded {
@@ -1527,7 +1395,7 @@ mod tests {
                 })
                 .collect();
             let results = b.swap_out_batch(&batch, 3).unwrap();
-            assert!(results.iter().all(Result::is_ok), "n={n}");
+            assert!(results.iter().all(std::result::Result::is_ok), "n={n}");
             for (page, data) in &batch {
                 let (restored, _) = b.swap_in(*page, false).unwrap();
                 assert_eq!(&restored[..], &data[..], "page {page} n={n}");
@@ -1655,7 +1523,7 @@ mod tests {
         let page = Corpus::Dna.generate(0, PAGE_SIZE);
         b.swap_out(PageNumber::new(1), &page).unwrap();
         assert!(matches!(
-            b.swap_out(PageNumber::new(1), &page),
+            b.swap_out(PageNumber::new(1), &page).map_err(Error::from),
             Err(Error::EntryExists { .. })
         ));
     }
@@ -1664,7 +1532,7 @@ mod tests {
     fn missing_page_swap_in_rejected() {
         let b = backend(1);
         assert!(matches!(
-            b.swap_in(PageNumber::new(77), false),
+            b.swap_in(PageNumber::new(77), false).map_err(Error::from),
             Err(Error::EntryNotFound { .. })
         ));
     }
@@ -1760,7 +1628,7 @@ mod tests {
         // First fetch sees the flipped bit: checksum catches it and the
         // entry stays intact.
         let err = b.swap_in(PageNumber::new(11), false).unwrap_err();
-        assert!(matches!(err, Error::ChecksumMismatch { .. }));
+        assert!(matches!(err.cause(), Error::ChecksumMismatch { .. }));
         assert!(b.contains(PageNumber::new(11)), "entry must survive");
         // The stored copy was pristine: the retry round-trips.
         let (restored, _) = b.swap_in(PageNumber::new(11), false).unwrap();
@@ -1889,10 +1757,14 @@ mod tests {
                 .collect();
             batch.push(batch[0].clone()); // duplicate -> EntryExists
             batch.push((PageNumber::new(99), Bytes::from(vec![0u8; 100]))); // wrong size
-            let got = batched.swap_out_batch(&batch, 3).unwrap();
+                                                                            // Both sides bill a non-system tenant: the batch must carry
+                                                                            // the context to every page it stores.
+            let tenant = TenantId::new(3);
+            let ctx = OpContext::for_tenant(tenant);
+            let got = batched.swap_out_batch_ctx(&ctx, &batch, 3).unwrap();
             assert_eq!(got.len(), batch.len());
             for ((page, data), g) in batch.iter().zip(&got) {
-                let want = serial.swap_out(*page, data);
+                let want = serial.swap_out_ctx(&ctx, *page, data);
                 match (g, &want) {
                     (Ok(a), Ok(b)) => assert_eq!(a, b, "page {page} n={n_dimms}"),
                     (Err(a), Err(b)) => {
@@ -1904,6 +1776,13 @@ mod tests {
             assert_eq!(batched.stats(), serial.stats());
             assert_eq!(batched.pool_stats(), serial.pool_stats());
             assert_eq!(batched.nma_stats().submitted, serial.nma_stats().submitted);
+            for (page, _) in batch.iter().take(12) {
+                assert_eq!(batched.tenant_of(*page), Some(tenant), "page {page}");
+            }
+            assert_eq!(
+                batched.tenant_usage(),
+                vec![(tenant, batched.pool_stats().stored_bytes.as_bytes())]
+            );
             // Round-trip the stored pages to prove data integrity.
             for (page, data) in batch.iter().take(12) {
                 let (restored, _) = batched.swap_in(*page, false).unwrap();
@@ -1916,7 +1795,7 @@ mod tests {
     fn batched_swap_out_rejects_zero_threads() {
         let b = backend(1);
         assert!(matches!(
-            b.swap_out_batch(&[], 0),
+            b.swap_out_batch(&[], 0).map_err(Error::from),
             Err(Error::InvalidConfig(_))
         ));
     }
@@ -1936,7 +1815,7 @@ mod tests {
             })
             .collect();
         let results = b.swap_out_batch(&batch, 4).unwrap();
-        assert!(results.iter().all(Result::is_ok));
+        assert!(results.iter().all(std::result::Result::is_ok));
         let s = registry.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 8);
         assert_eq!(s.histograms["xfm_swap_out_latency_ns"].count, 8);

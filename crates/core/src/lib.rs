@@ -36,6 +36,7 @@
 //!
 //! ```
 //! use xfm_core::{XfmConfig, XfmSystem};
+//! use xfm_sfm::SwapPlane;
 //! use xfm_types::{Nanos, PageNumber};
 //!
 //! let mut sys = XfmSystem::new(XfmConfig::default());

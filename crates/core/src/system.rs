@@ -2,12 +2,12 @@
 //! SFM control plane, with trace replay for experiments.
 
 use xfm_compress::Corpus;
-use xfm_sfm::backend::ExecutedOn;
+use xfm_sfm::backend::{ExecutedOn, SwapPlane};
 use xfm_sfm::controller::{ColdScanConfig, SfmController};
 use xfm_sfm::trace::{SwapEvent, SwapKind};
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, Registry, SwapMetrics, SwapStage};
-use xfm_types::{ByteSize, Nanos, Result, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, Result, SwapResult, PAGE_SIZE};
 
 use crate::backend::{XfmBackend, XfmBackendConfig};
 use crate::nma::NmaStats;
@@ -124,7 +124,7 @@ impl XfmSystem {
 
     /// One batched demotion round: scans for cold pages at `now`, fetches
     /// each page's contents through `fetch`, and pushes the whole batch
-    /// through [`XfmBackend::swap_out_batch`] — compression fans out over
+    /// through [`SwapPlane::swap_out_batch`] — compression fans out over
     /// `threads` workers while offload attempts and store-backs stay in
     /// cold-age order. Returns each demoted page with its per-page result
     /// (a full region surfaces as that page's `Err`, not a round failure).
@@ -137,7 +137,7 @@ impl XfmSystem {
         now: Nanos,
         threads: usize,
         fetch: impl Fn(xfm_types::PageNumber) -> bytes::Bytes,
-    ) -> Result<Vec<(xfm_types::PageNumber, Result<xfm_sfm::SwapOutcome>)>> {
+    ) -> SwapResult<Vec<(xfm_types::PageNumber, SwapResult<xfm_sfm::SwapOutcome>)>> {
         let cold = self.scan_cold(now);
         let batch: Vec<(xfm_types::PageNumber, bytes::Bytes)> =
             cold.iter().map(|&p| (p, fetch(p))).collect();
@@ -205,8 +205,10 @@ impl XfmSystem {
                                 ExecutedOn::Cpu => report.cpu_ops += 1,
                             }
                         }
-                        Err(xfm_types::Error::SfmRegionFull) => report.rejected += 1,
-                        Err(e) => return Err(e),
+                        Err(e) if *e.cause() == xfm_types::Error::SfmRegionFull => {
+                            report.rejected += 1;
+                        }
+                        Err(e) => return Err(e.into()),
                     }
                 }
                 SwapKind::In => {

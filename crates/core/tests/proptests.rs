@@ -7,7 +7,7 @@ use xfm_core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
 use xfm_core::Spm;
 use xfm_dram::{DeviceGeometry, DramTimings};
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
-use xfm_sfm::SfmConfig;
+use xfm_sfm::{SfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, RowId, PAGE_SIZE};
 
@@ -183,7 +183,7 @@ proptest! {
                 // Checksum mismatches are retryable: loop until the
                 // bounded fault stream lets a clean fetch through.
                 let page = loop {
-                    match b.swap_in(PageNumber::new(i as u64), i % 2 == 0) {
+                    match b.swap_in(PageNumber::new(i as u64), i % 2 == 0).map_err(Error::from) {
                         Ok((data, _)) => break data,
                         Err(Error::ChecksumMismatch { .. }) => {}
                         Err(e) => panic!("unexpected error: {e}"),
@@ -247,7 +247,7 @@ proptest! {
             .collect();
         for (pn, data) in &pages {
             loop {
-                match b.swap_out(*pn, data) {
+                match b.swap_out(*pn, data).map_err(Error::from) {
                     Ok(out) => {
                         // Device sites reject everything: nothing may
                         // report an NMA execution.
@@ -261,7 +261,7 @@ proptest! {
         }
         for (i, (pn, data)) in pages.iter().enumerate() {
             let restored = loop {
-                match b.swap_in(*pn, i % 2 == 0) {
+                match b.swap_in(*pn, i % 2 == 0).map_err(Error::from) {
                     Ok((d, _)) => break d,
                     Err(Error::ChecksumMismatch { .. }) => {}
                     Err(e) => panic!("unexpected error: {e}"),

@@ -9,37 +9,15 @@
 //! handful of `Instant::now()` calls (tens of nanoseconds against a
 //! multi-microsecond compression) as the cost.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::count_allocs;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_sfm::backend::SfmConfig;
-use xfm_sfm::CpuBackend;
+use xfm_sfm::{CpuBackend, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const WORKING_SET: u64 = 16;
 const WARMUP_ROUNDS: u64 = 4;
@@ -73,11 +51,12 @@ fn measure(b: &mut XfmBackend) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round(b, &pages, &mut at);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_ROUNDS {
-        round(b, &pages, &mut at);
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    let ((), allocs) = count_allocs(|| {
+        for _ in 0..MEASURED_ROUNDS {
+            round(b, &pages, &mut at);
+        }
+    });
+    allocs
 }
 
 fn backend() -> XfmBackend {
@@ -155,17 +134,13 @@ fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
     for _ in 0..4 {
         round(&mut sched, &mut events);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..4 {
-        round(&mut sched, &mut events);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let ((), allocs) = count_allocs(|| {
+        for _ in 0..4 {
+            round(&mut sched, &mut events);
+        }
+    });
 
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state advance_to_into touched the heap"
-    );
+    assert_eq!(allocs, 0, "steady-state advance_to_into touched the heap");
     assert!(served > 0, "rounds never produced scheduler events");
 }
 
@@ -231,11 +206,12 @@ fn cpu_backend_telemetry_adds_zero_steady_state_allocations() {
         for _ in 0..WARMUP_ROUNDS {
             cpu_round(b, &pages);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..MEASURED_ROUNDS {
-            cpu_round(b, &pages);
-        }
-        ALLOCS.load(Ordering::Relaxed) - before
+        let ((), allocs) = count_allocs(|| {
+            for _ in 0..MEASURED_ROUNDS {
+                cpu_round(b, &pages);
+            }
+        });
+        allocs
     }
 
     let mut plain = CpuBackend::new(SfmConfig {

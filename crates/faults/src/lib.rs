@@ -18,7 +18,7 @@
 //!   streams so replays are bit-exact regardless of how components
 //!   interleave, plus per-site injection counters on a telemetry
 //!   [`Registry`](xfm_telemetry::Registry);
-//! - [`checksum`] — XXH64 block checksums stored at swap-out and
+//! - [`checksum`](mod@checksum) — XXH64 block checksums stored at swap-out and
 //!   verified at swap-in, turning silent corruption into a retryable
 //!   [`ChecksumMismatch`](xfm_types::Error::ChecksumMismatch);
 //! - [`RetryPolicy`] — bounded exponential backoff for transient NMA

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xfm_serve::{FarKvService, GetSource, PutResult, TenantSpec};
-use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig};
+use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_types::{ByteSize, TenantId, PAGE_SIZE};
 
 /// Distinct keys the ops draw from (small enough to force collisions

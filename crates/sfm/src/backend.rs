@@ -1,14 +1,21 @@
 //! The [`SwapPlane`] trait and shared accounting types.
 //!
-//! A backend owns the SFM region (zpool + entry table) and executes
-//! swap-outs (compress into far memory) and swap-ins (decompress back).
-//! Three implementations exist in the workspace: the Baseline-CPU
-//! backend ([`crate::cpu_backend::CpuBackend`]), the sharded concurrent
-//! plane ([`crate::sharded::ShardedSfm`]), and the XFM backend in
+//! A plane owns a far-memory region and executes swap-outs (compress
+//! into far memory) and swap-ins (decompress back). Every plane in the
+//! workspace sits behind [`SwapPlane`]: the Baseline-CPU reference
+//! ([`crate::cpu_backend::CpuBackend`]), the sharded concurrent plane
+//! ([`crate::sharded::ShardedSfm`]), the modeled SSD and replicated
+//! remote planes ([`crate::modeled`]), the tier composition
+//! ([`crate::tier::TieredPlane`]), the prefetch engine
+//! ([`crate::prefetch::PrefetchEngine`]), and the XFM backend in
 //! `xfm-core`, which offloads to the near-memory accelerator and falls
-//! back to the CPU when NMA resources are exhausted (paper §6). All
-//! three sit behind [`SwapPlane`]: `&self` methods (interior
-//! mutability), [`SwapResult`] errors that carry the failing
+//! back to the CPU when NMA resources are exhausted (paper §6).
+//!
+//! The op set is the paper's SFM surface — swap-out, swap-in with
+//! `do_offload`, compact — each with one body per plane: the
+//! context-carrying op. The context-free forms are trait defaults that
+//! pass [`OpContext::SYSTEM`]. Methods take `&self` (interior
+//! mutability) and return [`SwapResult`] errors that carry the failing
 //! [`SwapSite`](xfm_types::SwapSite) and a retryability verdict.
 
 use bytes::Bytes;
@@ -130,8 +137,19 @@ impl Default for SfmConfig {
 /// behind `Arc` without wrapper locks at every call site. Failures come
 /// back as [`SwapError`](xfm_types::SwapError), which names the failing
 /// site and whether re-submitting the operation may succeed.
+///
+/// A plane implements the context-carrying ops
+/// ([`SwapPlane::swap_out_ctx`], [`SwapPlane::swap_in_into_ctx`]) and
+/// the six accessors. Everything else is provided: the context-free
+/// forms run the context-carrying ops as [`OpContext::SYSTEM`], and the
+/// batch forms loop over them. Planes with a faster batch path (the
+/// sharded plane's worker pool, the XFM backend's parallel pack)
+/// override [`SwapPlane::swap_out_batch_ctx`] or
+/// [`SwapPlane::swap_in_batch_into`].
 pub trait SwapPlane: Send + Sync {
-    /// Compresses `data` (one 4 KiB page) into the SFM under `page`.
+    /// Compresses `data` (one 4 KiB page) into the SFM under `page`,
+    /// billing the stored bytes to `ctx.tenant`; `ctx.class` hints the
+    /// placement tier.
     ///
     /// # Errors
     ///
@@ -139,11 +157,18 @@ pub trait SwapPlane: Send + Sync {
     /// - [`xfm_types::Error::SfmRegionFull`] if the region cannot hold it
     ///   even after compaction;
     /// - [`xfm_types::Error::InvalidConfig`] if `data` is not 4 KiB.
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome>;
+    fn swap_out_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome>;
 
     /// Decompresses `page` into the caller's reusable buffer (`out` is
     /// cleared first), removing the entry. With a warm buffer the
-    /// steady-state fault performs zero heap allocations.
+    /// steady-state fault performs zero heap allocations. The freed
+    /// compressed bytes are credited back to the tenant recorded on the
+    /// entry at swap-out; `ctx.tenant` identifies the caller.
     ///
     /// `do_offload` mirrors the paper's parameter: when `false` (a
     /// demand fault) the CPU path is preferred because the application
@@ -157,138 +182,13 @@ pub trait SwapPlane: Send + Sync {
     ///   fails verification — retryable, the entry stays intact;
     /// - [`xfm_types::Error::Corrupt`] if stored data fails to
     ///   decompress (the entry is consumed).
-    fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome>;
-
-    /// Allocating convenience form of [`SwapPlane::swap_in_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_in_into`].
-    fn swap_in(&self, page: PageNumber, do_offload: bool) -> SwapResult<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        let outcome = self.swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// Swaps out a batch of pages, returning per-page results in
-    /// submission order. The default runs pages sequentially through
-    /// [`SwapPlane::swap_out`]; concurrent planes override this to fan
-    /// the codec work across worker threads (`threads` is a hint).
-    ///
-    /// # Errors
-    ///
-    /// A top-level error means the batch machinery itself failed;
-    /// per-page conditions are reported in the inner results.
-    fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        _threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        Ok(batch
-            .iter()
-            .map(|(page, data)| self.swap_out(*page, data))
-            .collect())
-    }
-
-    /// Swaps in a batch of pages into the caller's reusable buffers,
-    /// returning per-page results in submission order (`pages[i]` lands
-    /// in `outs[i]`). The speculative prefetch engine issues its
-    /// claim batches through this entry point. The default runs pages
-    /// sequentially through [`SwapPlane::swap_in_into`] with
-    /// `do_offload = true` (a batch is speculation, not a stalled
-    /// demand fault); the sharded plane overrides it to decode each
-    /// shard's pages through the codec's batched entry point under a
-    /// single lock acquisition.
-    fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<SwapResult<SwapOutcome>> {
-        pages
-            .iter()
-            .zip(outs.iter_mut())
-            .map(|(page, out)| self.swap_in_into(*page, true, out))
-            .collect()
-    }
-
-    /// Context-carrying form of [`SwapPlane::swap_out`]: the page is
-    /// billed to `ctx.tenant` and `ctx.class` hints the placement tier.
-    ///
-    /// The default ignores the context and delegates, so every plane
-    /// keeps compiling; tenant-aware planes override this with the real
-    /// body and route the context-free form through
-    /// [`OpContext::SYSTEM`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_out`].
-    fn swap_out_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        let _ = ctx;
-        self.swap_out(page, data)
-    }
-
-    /// Context-carrying form of [`SwapPlane::swap_in_into`]: the freed
-    /// compressed bytes are credited back to the owning tenant's
-    /// account (the *entry's* owner, which tenant-aware planes recorded
-    /// at swap-out — `ctx.tenant` identifies the caller for telemetry).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_in_into`].
     fn swap_in_into_ctx(
         &self,
         ctx: &OpContext,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        let _ = ctx;
-        self.swap_in_into(page, do_offload, out)
-    }
-
-    /// Context-carrying form of [`SwapPlane::swap_out_batch`]: every
-    /// page in the batch is billed to `ctx.tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_out_batch`].
-    fn swap_out_batch_ctx(
-        &self,
-        ctx: &OpContext,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        let _ = ctx;
-        self.swap_out_batch(batch, threads)
-    }
-
-    /// Per-tenant compressed-byte usage, one entry per tenant that has
-    /// ever stored a page (including [`TenantId::SYSTEM`]), sorted by
-    /// tenant id. Planes without tenant accounting return an empty
-    /// vector. On accounting-exact planes the byte sum equals the
-    /// pool's stored bytes.
-    fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        Vec::new()
-    }
-
-    /// The tenant whose account owns `page`'s resident entry, if this
-    /// plane tracks ownership. Speculative machinery (the prefetch
-    /// engine) uses this to attribute work it issues on a tenant's
-    /// behalf.
-    fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        let _ = page;
-        None
-    }
+    ) -> SwapResult<SwapOutcome>;
 
     /// Whether `page` currently lives in the SFM.
     fn contains(&self, page: PageNumber) -> bool;
@@ -302,6 +202,107 @@ pub trait SwapPlane: Send + Sync {
 
     /// Zpool-level statistics (occupancy, fragmentation).
     fn pool_stats(&self) -> crate::zpool::ZpoolStats;
+
+    /// Per-tenant stored-byte usage, one entry per tenant that holds a
+    /// page (including [`TenantId::SYSTEM`]), sorted by tenant id. On
+    /// accounting-exact planes the byte sum equals the pool's stored
+    /// bytes.
+    fn tenant_usage(&self) -> Vec<(TenantId, u64)>;
+
+    /// The tenant whose account owns `page`'s resident entry. The
+    /// prefetch engine uses this to attribute speculative work it
+    /// issues on a tenant's behalf.
+    fn tenant_of(&self, page: PageNumber) -> Option<TenantId>;
+
+    /// [`SwapPlane::swap_out_ctx`] billed to the system tenant.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_out_ctx`].
+    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
+        self.swap_out_ctx(&OpContext::SYSTEM, page, data)
+    }
+
+    /// [`SwapPlane::swap_in_into_ctx`] issued by the system tenant.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_in_into_ctx`].
+    fn swap_in_into(
+        &self,
+        page: PageNumber,
+        do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        self.swap_in_into_ctx(&OpContext::SYSTEM, page, do_offload, out)
+    }
+
+    /// Allocating form of [`SwapPlane::swap_in_into`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_in_into_ctx`].
+    fn swap_in(&self, page: PageNumber, do_offload: bool) -> SwapResult<(Vec<u8>, SwapOutcome)> {
+        let mut out = Vec::with_capacity(PAGE_SIZE);
+        let outcome = self.swap_in_into_ctx(&OpContext::SYSTEM, page, do_offload, &mut out)?;
+        Ok((out, outcome))
+    }
+
+    /// [`SwapPlane::swap_out_batch_ctx`] billed to the system tenant.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_out_batch_ctx`].
+    fn swap_out_batch(
+        &self,
+        batch: &[(PageNumber, Bytes)],
+        threads: usize,
+    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
+        self.swap_out_batch_ctx(&OpContext::SYSTEM, batch, threads)
+    }
+
+    /// Swaps out a batch of pages billed to `ctx.tenant`, returning
+    /// per-page results in submission order. The default runs pages
+    /// sequentially through [`SwapPlane::swap_out_ctx`]; concurrent
+    /// planes override it to fan the codec work across worker threads
+    /// (`threads` is a hint).
+    ///
+    /// # Errors
+    ///
+    /// A top-level error means the batch machinery itself failed;
+    /// per-page conditions are reported in the inner results.
+    fn swap_out_batch_ctx(
+        &self,
+        ctx: &OpContext,
+        batch: &[(PageNumber, Bytes)],
+        _threads: usize,
+    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
+        Ok(batch
+            .iter()
+            .map(|(page, data)| self.swap_out_ctx(ctx, *page, data))
+            .collect())
+    }
+
+    /// Swaps in a batch of pages into the caller's reusable buffers,
+    /// returning per-page results in submission order (`pages[i]` lands
+    /// in `outs[i]`). The speculative prefetch engine issues its claim
+    /// batches through this entry point. The default runs pages
+    /// sequentially through [`SwapPlane::swap_in_into_ctx`] as the
+    /// system tenant with `do_offload = true` (a batch is speculation,
+    /// not a stalled demand fault); the sharded plane overrides it to
+    /// decode each shard's pages through the codec's batched entry
+    /// point under a single lock acquisition.
+    fn swap_in_batch_into(
+        &self,
+        pages: &[PageNumber],
+        outs: &mut [Vec<u8>],
+    ) -> Vec<SwapResult<SwapOutcome>> {
+        pages
+            .iter()
+            .zip(outs.iter_mut())
+            .map(|(page, out)| self.swap_in_into_ctx(&OpContext::SYSTEM, *page, true, out))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -353,5 +354,81 @@ mod tests {
     #[test]
     fn swap_plane_trait_is_object_safe() {
         fn _takes_dyn(_b: &dyn SwapPlane) {}
+    }
+
+    /// Every plane bills a context batch to the context's tenant — the
+    /// default batch op and the sharded worker-pool override alike.
+    #[test]
+    fn batch_ctx_bills_the_context_tenant_on_every_plane() {
+        use std::sync::Arc;
+        use xfm_event::ClockMirror;
+        use xfm_types::{PlacementClass, PlaneId};
+
+        use crate::{
+            CpuBackend, MediaModel, ModeledPlane, PrefetchConfig, PrefetchEngine, ReplicatedPlane,
+            ShardedSfm, ShardedSfmConfig, TierSpec, TieredPlane,
+        };
+
+        let clock = ClockMirror::new();
+        let ssd = || ModeledPlane::new("ssd", MediaModel::ssd(), 0, clock.clone());
+        let sharded = || ShardedSfm::new(ShardedSfmConfig::default());
+        let planes: Vec<(&str, Box<dyn SwapPlane>)> = vec![
+            ("sharded", Box::new(sharded())),
+            ("cpu", Box::new(CpuBackend::new(SfmConfig::default()))),
+            ("modeled", Box::new(ssd())),
+            (
+                "replicated",
+                Box::new(ReplicatedPlane::new(
+                    "remote",
+                    MediaModel::remote(),
+                    0,
+                    clock.clone(),
+                )),
+            ),
+            (
+                "prefetch",
+                Box::new(PrefetchEngine::new(
+                    Arc::new(sharded()),
+                    PrefetchConfig::default(),
+                )),
+            ),
+            (
+                "tiered",
+                Box::new(
+                    TieredPlane::new(vec![TierSpec::new(
+                        Arc::new(ssd()),
+                        PlaneId::new(1),
+                        PlacementClass::Ssd,
+                    )])
+                    .unwrap(),
+                ),
+            ),
+        ];
+        let tenant = TenantId::new(3);
+        let ctx = OpContext::for_tenant(tenant);
+        // Same-filled pages resolve inline; pattern pages take the
+        // sharded plane's compression worker pool.
+        let batch: Vec<(PageNumber, Bytes)> = (0..8u64)
+            .map(|i| {
+                let data = if i % 2 == 0 {
+                    vec![i as u8; PAGE_SIZE]
+                } else {
+                    format!("page {i:04} pattern ")
+                        .repeat(PAGE_SIZE / 18 + 1)
+                        .as_bytes()[..PAGE_SIZE]
+                        .to_vec()
+                };
+                (PageNumber::new(i), Bytes::from(data))
+            })
+            .collect();
+        for (name, plane) in &planes {
+            let results = plane.swap_out_batch_ctx(&ctx, &batch, 2).unwrap();
+            assert!(results.iter().all(Result::is_ok), "{name}: {results:?}");
+            for (page, _) in &batch {
+                assert_eq!(plane.tenant_of(*page), Some(tenant), "{name} page {page}");
+            }
+            let billed: Vec<TenantId> = plane.tenant_usage().iter().map(|&(t, _)| t).collect();
+            assert_eq!(billed, vec![tenant], "{name}");
+        }
     }
 }

@@ -21,8 +21,7 @@ use xfm_faults::{FaultInjector, FaultSite};
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, Registry, SwapMetrics, SwapStage};
 use xfm_types::{
-    ByteSize, Cycles, Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
-    PAGE_SIZE,
+    ByteSize, Cycles, Error, OpContext, PageNumber, Result, SwapResult, TenantId, PAGE_SIZE,
 };
 
 use crate::backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
@@ -34,7 +33,7 @@ use crate::zpool::{CompactReport, Zpool, ZpoolStats};
 /// # Examples
 ///
 /// ```
-/// use xfm_sfm::{CpuBackend, SfmConfig};
+/// use xfm_sfm::{CpuBackend, SfmConfig, SwapPlane};
 /// use xfm_types::PageNumber;
 ///
 /// let b = CpuBackend::new(SfmConfig::default());
@@ -147,116 +146,44 @@ impl CpuBackend {
     pub fn config(&self) -> &SfmConfig {
         &self.config
     }
-
-    /// Compresses `data` (one 4 KiB page) into the SFM under `page`.
-    ///
-    /// # Errors
-    ///
-    /// - [`Error::EntryExists`] if the page is already out;
-    /// - [`Error::SfmRegionFull`] if the region cannot hold it even
-    ///   after compaction;
-    /// - [`Error::InvalidConfig`] if `data` is not 4 KiB.
-    pub fn swap_out(&self, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
-        self.inner.lock().swap_out(TenantId::SYSTEM, page, data)
-    }
-
-    /// Tenant-attributed form of [`CpuBackend::swap_out`]: the stored
-    /// compressed bytes are billed to `tenant` until the entry is
-    /// consumed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CpuBackend::swap_out`].
-    pub fn swap_out_for(
-        &self,
-        tenant: TenantId,
-        page: PageNumber,
-        data: &[u8],
-    ) -> Result<SwapOutcome> {
-        self.inner.lock().swap_out(tenant, page, data)
-    }
-
-    /// Decompresses `page` back out of the SFM, removing its entry.
-    ///
-    /// `do_offload` mirrors the paper's `xfm_swap_out()` parameter: when
-    /// `false` (a demand fault) the CPU path is preferred because the
-    /// application is stalled; when `true` (a prefetch) the NMA path may
-    /// be used. The CPU baseline ignores it.
-    ///
-    /// # Errors
-    ///
-    /// - [`Error::EntryNotFound`] if the page is not in the SFM;
-    /// - [`Error::ChecksumMismatch`] if the fetched bytes fail
-    ///   verification — the entry and slot are left intact, so a retry
-    ///   re-reads the stored copy;
-    /// - [`Error::Corrupt`] if stored data fails to decompress (the
-    ///   entry is consumed).
-    pub fn swap_in(&self, page: PageNumber, do_offload: bool) -> Result<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        let outcome = self.inner.lock().swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// Allocation-free fault path: decompresses `page` into the caller's
-    /// reusable buffer (`out` is cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CpuBackend::swap_in`].
-    pub fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
-        self.inner.lock().swap_in_into(page, do_offload, out)
-    }
-
-    /// Whether `page` currently lives in the SFM.
-    #[must_use]
-    pub fn contains(&self, page: PageNumber) -> bool {
-        self.inner.lock().table.contains(page)
-    }
-
-    /// Runs a compaction pass over the zpool.
-    pub fn compact(&self) -> CompactReport {
-        self.inner.lock().pool.compact()
-    }
-
-    /// Aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> BackendStats {
-        self.inner.lock().stats
-    }
-
-    /// Zpool-level statistics.
-    #[must_use]
-    pub fn pool_stats(&self) -> ZpoolStats {
-        self.inner.lock().pool.stats()
-    }
 }
 
 impl SwapPlane for CpuBackend {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        CpuBackend::swap_out(self, page, data).map_err(SwapError::from)
-    }
-
-    fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        CpuBackend::swap_in_into(self, page, do_offload, out).map_err(SwapError::from)
-    }
-
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
         page: PageNumber,
         data: &[u8],
     ) -> SwapResult<SwapOutcome> {
-        CpuBackend::swap_out_for(self, ctx.tenant, page, data).map_err(SwapError::from)
+        self.inner.lock().swap_out(ctx.tenant, page, data)
+    }
+
+    /// `do_offload` and `ctx` are ignored: the CPU baseline has no
+    /// offload path, and the freed bytes go back to the entry's owner.
+    fn swap_in_into_ctx(
+        &self,
+        _ctx: &OpContext,
+        page: PageNumber,
+        do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        self.inner.lock().swap_in_into(page, do_offload, out)
+    }
+
+    fn contains(&self, page: PageNumber) -> bool {
+        self.inner.lock().table.contains(page)
+    }
+
+    fn compact(&self) -> CompactReport {
+        self.inner.lock().pool.compact()
+    }
+
+    fn stats(&self) -> BackendStats {
+        self.inner.lock().stats
+    }
+
+    fn pool_stats(&self) -> ZpoolStats {
+        self.inner.lock().pool.stats()
     }
 
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
@@ -265,22 +192,6 @@ impl SwapPlane for CpuBackend {
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
         self.inner.lock().table.get(page).map(|e| e.tenant)
-    }
-
-    fn contains(&self, page: PageNumber) -> bool {
-        CpuBackend::contains(self, page)
-    }
-
-    fn compact(&self) -> CompactReport {
-        CpuBackend::compact(self)
-    }
-
-    fn stats(&self) -> BackendStats {
-        CpuBackend::stats(self)
-    }
-
-    fn pool_stats(&self) -> ZpoolStats {
-        CpuBackend::pool_stats(self)
     }
 }
 
@@ -292,15 +203,21 @@ pub fn same_filled(data: &[u8]) -> Option<u8> {
 }
 
 impl CpuInner {
-    fn swap_out(&mut self, tenant: TenantId, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
+    fn swap_out(
+        &mut self,
+        tenant: TenantId,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome> {
         if data.len() != PAGE_SIZE {
             return Err(Error::InvalidConfig(format!(
                 "swap_out requires a 4 KiB page, got {} bytes",
                 data.len()
-            )));
+            ))
+            .into());
         }
         if self.table.contains(page) {
-            return Err(Error::EntryExists { page: page.index() });
+            return Err(Error::EntryExists { page: page.index() }.into());
         }
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
 
@@ -382,11 +299,11 @@ impl CpuInner {
                                 Cause::RegionFull,
                             );
                         }
-                        return Err(e);
+                        return Err(e.into());
                     }
                 }
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         };
         let store_ns = ssw.map_or(0, |s| s.elapsed_ns());
         self.table.insert(
@@ -438,7 +355,7 @@ impl CpuInner {
         page: PageNumber,
         _do_offload: bool,
         out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let entry = *self
             .table
@@ -486,7 +403,8 @@ impl CpuInner {
                     page: page.index(),
                     expected: entry.checksum,
                     got,
-                });
+                }
+                .into());
             }
             match entry.codec {
                 CodecKind::SameFilled => {
@@ -615,7 +533,7 @@ mod tests {
         let page = page_of(Corpus::Csv, 3);
         b.swap_out(PageNumber::new(4), &page).unwrap();
         assert!(matches!(
-            b.swap_out(PageNumber::new(4), &page),
+            b.swap_out(PageNumber::new(4), &page).map_err(Error::from),
             Err(Error::EntryExists { page: 4 })
         ));
     }
@@ -624,7 +542,7 @@ mod tests {
     fn swap_in_of_missing_page_rejected() {
         let b = backend();
         assert!(matches!(
-            b.swap_in(PageNumber::new(11), false),
+            b.swap_in(PageNumber::new(11), false).map_err(Error::from),
             Err(Error::EntryNotFound { page: 11 })
         ));
     }
@@ -648,7 +566,7 @@ mod tests {
         b.swap_out(PageNumber::new(1), &p2).unwrap();
         let p3 = page_of(Corpus::RandomBytes, 9);
         assert!(matches!(
-            b.swap_out(PageNumber::new(2), &p3),
+            b.swap_out(PageNumber::new(2), &p3).map_err(Error::from),
             Err(Error::SfmRegionFull)
         ));
         assert_eq!(b.stats().rejected_full, 1);

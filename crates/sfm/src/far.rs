@@ -4,8 +4,8 @@
 //! value is resident it behaves like a mutex-guarded local object;
 //! after [`FarMemory::evict`] the value lives only in the swap plane
 //! (any [`SwapPlane`] — the compressed zpool, a modeled SSD, a
-//! replicated remote pair, or a whole [`TieredPlane`]
-//! (`crate::tier::TieredPlane`) hierarchy), and the next access
+//! replicated remote pair, or a whole [`TieredPlane`](crate::TieredPlane)
+//! hierarchy), and the next access
 //! **faults it back in** through the plane transparently. Dropping a
 //! resident `FarMemory` writes the value back to the plane, so the
 //! far copy is always the durable one.

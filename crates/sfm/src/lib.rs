@@ -9,12 +9,15 @@
 //!   compaction (`memcpy`-cost accounted) to fight internal fragmentation;
 //! - [`table`] — the SFM entry table mapping swapped-out page numbers to
 //!   their compressed locations (the paper's red-black tree);
-//! - [`backend`] — the [`SwapPlane`] trait: `swap_out` / `swap_in_into` /
-//!   `swap_out_batch` / `compact` behind `&self`, with per-operation
-//!   accounting (CPU cycles, DRAM traffic) and structured
-//!   [`SwapError`](xfm_types::SwapError) results;
+//! - [`backend`] — the [`SwapPlane`] trait, the one op set every plane
+//!   implements behind `&self`: `swap_out_ctx` / `swap_in_into_ctx`
+//!   (the tenant-carrying swap ops; the context-free and batch forms are
+//!   trait defaults over them), `compact`, and the stats and tenant
+//!   accessors, with per-operation accounting (CPU cycles, DRAM traffic)
+//!   and structured [`SwapError`](xfm_types::SwapError) results;
 //! - [`cpu_backend`] — the Baseline-CPU backend: synchronous compression
-//!   on the host, four DRAM traffic components per swap;
+//!   on the host, four DRAM traffic components per swap; the reference
+//!   the sharded plane is differentially tested against;
 //! - [`controller`] — cold-page scanning (120 s idle threshold by
 //!   default, per the Google fleet data) and promotion-rate tracking;
 //! - [`sharded`] — the sharded concurrent swap data plane: the table,
@@ -45,7 +48,7 @@
 //! # Examples
 //!
 //! ```
-//! use xfm_sfm::{CpuBackend, SfmConfig};
+//! use xfm_sfm::{CpuBackend, SfmConfig, SwapPlane};
 //! use xfm_types::{ByteSize, PageNumber};
 //!
 //! let backend = CpuBackend::new(SfmConfig {

@@ -15,7 +15,7 @@
 //!   held at a time. Cross-shard state (capacity budget, far-set size,
 //!   promotion minute) lives in atomics plus one tiny minute-roll mutex
 //!   that is never held together with a shard lock.
-//! - **Batch handoff**: [`ShardedSfm::swap_out_batch`] same-fill-checks
+//! - **Batch handoff**: [`SwapPlane::swap_out_batch_ctx`] same-fill-checks
 //!   inline, then drains the remaining pages through the
 //!   `compress_pages` worker pool; each worker hands its finished page
 //!   to a sink that locks *only the owning shard* for the store-back,
@@ -43,8 +43,7 @@ use xfm_telemetry::{
     Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, SwapStage, TenantMetrics,
 };
 use xfm_types::{
-    ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
-    PAGE_SIZE,
+    ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, SwapResult, TenantId, PAGE_SIZE,
 };
 
 use crate::backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
@@ -115,7 +114,7 @@ struct Telemetry {
 /// # Examples
 ///
 /// ```
-/// use xfm_sfm::{ShardedSfm, ShardedSfmConfig};
+/// use xfm_sfm::{ShardedSfm, ShardedSfmConfig, SwapPlane};
 /// use xfm_types::PageNumber;
 ///
 /// let sfm = ShardedSfm::new(ShardedSfmConfig::default());
@@ -294,362 +293,8 @@ impl ShardedSfm {
     }
 
     // ------------------------------------------------------------------
-    // Data plane
+    // Data-plane helpers (the ops are in the `SwapPlane` impl below)
     // ------------------------------------------------------------------
-
-    /// Compresses `data` (one 4 KiB page) into the owning shard.
-    /// Observable behavior matches [`crate::CpuBackend::swap_out`]:
-    /// same-filled short-circuit, zswap-style raw-store reject, and a
-    /// compact-once retry when the global capacity budget is hit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SfmBackend::swap_out`].
-    pub fn swap_out(&self, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
-        self.swap_out_for(TenantId::SYSTEM, page, data)
-    }
-
-    /// Tenant-attributed form of [`ShardedSfm::swap_out`]: the stored
-    /// compressed bytes are billed to `tenant` (recorded on the entry)
-    /// until the entry is consumed by a swap-in, and telemetry carries
-    /// the tenant on its lifecycle events and per-tenant counters.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedSfm::swap_out`].
-    pub fn swap_out_for(
-        &self,
-        tenant: TenantId,
-        page: PageNumber,
-        data: &[u8],
-    ) -> Result<SwapOutcome> {
-        if data.len() != PAGE_SIZE {
-            return Err(Error::InvalidConfig(format!(
-                "swap_out requires a 4 KiB page, got {} bytes",
-                data.len()
-            )));
-        }
-        let si = self.shard_of(page);
-        let mut guard = self.shards[si].lock();
-        let s = &mut *guard;
-        if s.table.contains(page) {
-            return Err(Error::EntryExists { page: page.index() });
-        }
-        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-
-        // zswap's same-filled-page check runs before compression: a page
-        // of one repeated byte stores just that byte.
-        if let Some(fill) = same_filled(data) {
-            if self.store_would_overflow(&s.pool, 1) {
-                return Err(Error::SfmRegionFull);
-            }
-            let handle = s.pool.alloc_faulted(&[fill], self.faults.as_deref())?;
-            let Shard {
-                pool, host_pages, ..
-            } = s;
-            self.sync_host_pages(pool, host_pages);
-            s.table.insert(
-                page,
-                SfmEntry {
-                    handle,
-                    compressed_len: 1,
-                    codec: CodecKind::SameFilled,
-                    checksum: xfm_faults::checksum(&[fill]),
-                    tenant,
-                },
-            )?;
-            let outcome = SwapOutcome {
-                executed_on: ExecutedOn::Cpu,
-                compressed_len: 1,
-                // The scan costs roughly one pass over the page.
-                cpu_cycles: Cycles::new(PAGE_SIZE as u64),
-                ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + 1),
-            };
-            s.stats.record(&outcome, true);
-            if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-                let total = sw.elapsed_ns();
-                t.swap.swap_outs.inc();
-                t.swap.same_filled.inc();
-                t.swap.cpu_executions.inc();
-                t.swap.swap_out_ns.record(total);
-                t.swap.span(
-                    SwapStage::Compress,
-                    page.index(),
-                    0,
-                    total,
-                    Cause::SameFilled,
-                );
-                t.swap.lifecycle_event_for(
-                    LifecycleStage::Compress,
-                    Cause::SameFilled,
-                    tenant,
-                    page.index(),
-                    si as u32,
-                    u64::from(fill),
-                    total,
-                );
-                let ts = t.tenants.series(tenant);
-                ts.swap_outs.inc();
-                ts.bytes_stored.add(1);
-                t.shards.swap_outs[si].inc();
-                t.shards.busy_ns[si].add(total);
-                t.shards.entries[si].set(s.table.len() as f64);
-            }
-            return Ok(outcome);
-        }
-
-        s.comp_buf.clear();
-        let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        {
-            let Shard {
-                comp_buf, scratch, ..
-            } = s;
-            self.codec.compress_into(data, comp_buf, scratch)?;
-        }
-        let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-        self.store_page(si, s, tenant, page, data, None, sw, compress_ns)
-    }
-
-    /// Decompresses `page` back out of its shard, removing the entry.
-    /// `do_offload` is accepted for API parity and ignored (CPU plane).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SfmBackend::swap_in`].
-    pub fn swap_in(&self, page: PageNumber, do_offload: bool) -> Result<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        let outcome = self.swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// Allocation-free fault path: decompresses `page` into the caller's
-    /// reusable buffer (`out` is cleared first). With a warm buffer the
-    /// steady-state fault performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SfmBackend::swap_in`].
-    pub fn swap_in_into(
-        &self,
-        page: PageNumber,
-        _do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
-        let si = self.shard_of(page);
-        let mut guard = self.shards[si].lock();
-        let s = &mut *guard;
-        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let entry = *s
-            .table
-            .get(page)
-            .ok_or(Error::EntryNotFound { page: page.index() })?;
-        let mut fetch_ns = 0u64;
-        let mut decomp_ns = 0u64;
-        out.clear();
-        // Decompress straight out of the pool's arena slice — the
-        // compressed bytes are never copied. The slot is freed after the
-        // borrow ends, even when decoding fails.
-        let decoded: Result<Cycles> = {
-            let Shard { pool, scratch, .. } = &mut *s;
-            let compressed = pool.get(entry.handle)?;
-            if let Some(sw) = &sw {
-                fetch_ns = sw.elapsed_ns();
-            }
-            // Verify before decoding. The checksum covers the bytes as
-            // fetched — an injected flip models in-transit corruption —
-            // so on mismatch the stored copy is still pristine and the
-            // error is retryable: entry and slot stay untouched.
-            let got = match self
-                .faults
-                .as_deref()
-                .and_then(|f| f.fire_value(FaultSite::BitCorruption))
-            {
-                Some(v) => {
-                    let mut fetched = compressed.to_vec();
-                    let bit = (v % (fetched.len() as u64 * 8)) as usize;
-                    fetched[bit / 8] ^= 1 << (bit % 8);
-                    xfm_faults::checksum(&fetched)
-                }
-                None => xfm_faults::checksum(compressed),
-            };
-            if got != entry.checksum {
-                if let Some(t) = &self.telemetry {
-                    t.swap.span(
-                        SwapStage::Fetch,
-                        page.index(),
-                        0,
-                        fetch_ns,
-                        Cause::ChecksumMismatch,
-                    );
-                    t.swap.lifecycle_event_for(
-                        LifecycleStage::Fault,
-                        Cause::ChecksumMismatch,
-                        entry.tenant,
-                        page.index(),
-                        si as u32,
-                        u64::from(entry.compressed_len),
-                        fetch_ns,
-                    );
-                }
-                return Err(Error::ChecksumMismatch {
-                    page: page.index(),
-                    expected: entry.checksum,
-                    got,
-                });
-            }
-            match entry.codec {
-                CodecKind::SameFilled => {
-                    out.resize(PAGE_SIZE, compressed[0]);
-                    Ok(Cycles::new(PAGE_SIZE as u64))
-                }
-                CodecKind::Raw => {
-                    out.extend_from_slice(compressed);
-                    Ok(Cycles::ZERO)
-                }
-                _ => {
-                    let dsw = sw.map(|_| Stopwatch::start());
-                    match self.codec.decompress_into(compressed, out, scratch) {
-                        Ok(_) if out.len() != PAGE_SIZE => Err(Error::Corrupt(format!(
-                            "page {page} decompressed to {} bytes",
-                            out.len()
-                        ))),
-                        Ok(_) => {
-                            decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
-                            Ok(self.cost.decompress_cycles(PAGE_SIZE as u64))
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-            }
-        };
-        s.table.remove(page)?;
-        s.pool.free(entry.handle)?;
-        {
-            let Shard {
-                pool, host_pages, ..
-            } = s;
-            self.sync_host_pages(pool, host_pages);
-        }
-        // The entry is consumed from here on — even when decoding
-        // failed — so the owner's compressed bytes are credited back
-        // unconditionally: no leak on the Corrupt fall-through.
-        if let Some(t) = &self.telemetry {
-            t.tenants
-                .series(entry.tenant)
-                .bytes_freed
-                .add(u64::from(entry.compressed_len));
-        }
-        let cycles = decoded?;
-
-        let outcome = SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: entry.compressed_len,
-            cpu_cycles: cycles,
-            // Compressed read + restored page write.
-            ddr_bytes: ByteSize::from_bytes(u64::from(entry.compressed_len) + PAGE_SIZE as u64),
-        };
-        s.stats.record(&outcome, false);
-        if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-            let total = sw.elapsed_ns();
-            let cause = match entry.codec {
-                CodecKind::SameFilled => Cause::SameFilled,
-                CodecKind::Raw => Cause::StoredRaw,
-                _ => Cause::Ok,
-            };
-            t.swap.swap_ins.inc();
-            t.swap.cpu_executions.inc();
-            t.swap.zpool_load_ns.record(fetch_ns);
-            t.swap.swap_in_ns.record(total);
-            t.swap.span(SwapStage::Fault, page.index(), 0, total, cause);
-            t.swap
-                .span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Fault,
-                cause,
-                entry.tenant,
-                page.index(),
-                si as u32,
-                u64::from(entry.compressed_len),
-                total,
-            );
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Fetch,
-                Cause::Ok,
-                entry.tenant,
-                page.index(),
-                si as u32,
-                u64::from(entry.compressed_len),
-                fetch_ns,
-            );
-            if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
-                t.swap.decompress_ns.record(decomp_ns);
-                t.swap.span(
-                    SwapStage::Decompress,
-                    page.index(),
-                    fetch_ns,
-                    decomp_ns,
-                    Cause::Ok,
-                );
-                t.swap.lifecycle_event_for(
-                    LifecycleStage::Decompress,
-                    Cause::Ok,
-                    entry.tenant,
-                    page.index(),
-                    si as u32,
-                    u64::from(entry.compressed_len),
-                    decomp_ns,
-                );
-            }
-            let ts = t.tenants.series(entry.tenant);
-            ts.swap_ins.inc();
-            ts.fault_ns.record(total);
-            t.shards.swap_ins[si].inc();
-            t.shards.busy_ns[si].add(total);
-            t.shards.entries[si].set(s.table.len() as f64);
-        }
-        Ok(outcome)
-    }
-
-    /// Batched swap-in with per-shard claim batching: `pages[i]` lands
-    /// in `outs[i]` (cleared first), per-page results in submission
-    /// order. Pages are grouped by owning shard so each shard's lock is
-    /// taken exactly once, and every real-codec block in a shard is
-    /// decoded through [`Codec::decompress_batch_into`] — same-header
-    /// blocks share decode tables, which is what makes speculative
-    /// prefetch batches cheaper than N sequential faults. Per-page
-    /// observable behavior (outcome, stats, stored bytes, error
-    /// conditions) matches calling [`ShardedSfm::swap_in_into`]
-    /// sequentially.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pages.len() != outs.len()`.
-    pub fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<Result<SwapOutcome>> {
-        assert_eq!(
-            pages.len(),
-            outs.len(),
-            "swap_in_batch_into needs one output buffer per page"
-        );
-        let mut results: Vec<Option<Result<SwapOutcome>>> =
-            (0..pages.len()).map(|_| None).collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, p) in pages.iter().enumerate() {
-            by_shard[self.shard_of(*p)].push(i);
-        }
-        for (si, idxs) in by_shard.iter().enumerate() {
-            if !idxs.is_empty() {
-                self.swap_in_shard_batch(si, idxs, pages, outs, &mut results);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every page resolved"))
-            .collect()
-    }
 
     /// One shard's slice of a batched swap-in, under a single lock
     /// acquisition. Inline kinds (same-filled, raw) resolve immediately;
@@ -660,7 +305,7 @@ impl ShardedSfm {
         idxs: &[usize],
         pages: &[PageNumber],
         outs: &mut [Vec<u8>],
-        results: &mut [Option<Result<SwapOutcome>>],
+        results: &mut [Option<SwapResult<SwapOutcome>>],
     ) {
         let mut guard = self.shards[si].lock();
         let s = &mut *guard;
@@ -675,7 +320,7 @@ impl ShardedSfm {
             let entry = match s.table.get(page) {
                 Some(e) if !claimed.contains(&page.index()) => *e,
                 _ => {
-                    results[i] = Some(Err(Error::EntryNotFound { page: page.index() }));
+                    results[i] = Some(Err(Error::EntryNotFound { page: page.index() }.into()));
                     continue;
                 }
             };
@@ -702,7 +347,7 @@ impl ShardedSfm {
                         (got, psw.map_or(0, |s| s.elapsed_ns()))
                     }
                     Err(e) => {
-                        results[i] = Some(Err(e));
+                        results[i] = Some(Err(e.into()));
                         continue;
                     }
                 }
@@ -730,7 +375,8 @@ impl ShardedSfm {
                     page: page.index(),
                     expected: entry.checksum,
                     got,
-                }));
+                }
+                .into()));
                 continue;
             }
             claimed.insert(page.index());
@@ -872,7 +518,7 @@ impl ShardedSfm {
                             .bytes_freed
                             .add(u64::from(entry.compressed_len));
                     }
-                    results[i] = Some(Err(e));
+                    results[i] = Some(Err(e.into()));
                 }
             }
         }
@@ -892,7 +538,7 @@ impl ShardedSfm {
         fetch_ns: u64,
         decomp_ns: u64,
         op_ns: u64,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         s.table.remove(page)?;
         s.pool.free(entry.handle)?;
         {
@@ -969,95 +615,6 @@ impl ShardedSfm {
         Ok(outcome)
     }
 
-    /// Whether `page` currently lives in the SFM.
-    #[must_use]
-    pub fn contains(&self, page: PageNumber) -> bool {
-        self.shards[self.shard_of(page)].lock().table.contains(page)
-    }
-
-    /// Batched swap-out pipeline. Same-filled (and invalid-size) pages
-    /// resolve inline; everything else is compressed by `threads`
-    /// workers from the `compress_pages` pool, and each finished page is
-    /// stored back under *only its owning shard's lock*. Per-page
-    /// results come back in submission order.
-    ///
-    /// Observable per-page behavior (outcome, stats, stored bytes)
-    /// matches calling [`ShardedSfm::swap_out`] sequentially, except
-    /// that a page already present is only rejected at store-back time
-    /// (after its compression has been wasted).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `threads` is zero or the codec itself fails
-    /// (per-page conditions such as `EntryExists` or `SfmRegionFull` are
-    /// reported in the per-page results instead).
-    pub fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        self.swap_out_batch_for(TenantId::SYSTEM, batch, threads)
-    }
-
-    /// Tenant-attributed form of [`ShardedSfm::swap_out_batch`]: every
-    /// page in the batch is billed to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedSfm::swap_out_batch`].
-    pub fn swap_out_batch_for(
-        &self,
-        tenant: TenantId,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        let results: Mutex<Vec<Option<Result<SwapOutcome>>>> =
-            Mutex::new((0..batch.len()).map(|_| None).collect());
-        let mut compress_idx: Vec<usize> = Vec::new();
-        let mut to_compress: Vec<Bytes> = Vec::new();
-        // Pages claimed earlier in this batch: later duplicates are
-        // rejected here, in submission order, so the out-of-order sink
-        // below can never race two occurrences of the same page.
-        let mut claimed: BTreeSet<u64> = BTreeSet::new();
-        for (i, (page, data)) in batch.iter().enumerate() {
-            if data.len() != PAGE_SIZE {
-                results.lock()[i] = Some(self.swap_out_for(tenant, *page, data));
-            } else if self.contains(*page) || claimed.contains(&page.index()) {
-                results.lock()[i] = Some(Err(Error::EntryExists { page: page.index() }));
-            } else if same_filled(data).is_some() {
-                let res = self.swap_out_for(tenant, *page, data);
-                if res.is_ok() {
-                    claimed.insert(page.index());
-                }
-                results.lock()[i] = Some(res);
-            } else {
-                claimed.insert(page.index());
-                compress_idx.push(i);
-                to_compress.push(data.clone());
-            }
-        }
-        if !to_compress.is_empty() {
-            let sink = |r: PageResult| {
-                let bi = compress_idx[r.index];
-                let (page, data) = &batch[bi];
-                let res = self.store_compressed(tenant, *page, data, &r.compressed);
-                results.lock()[bi] = Some(res);
-            };
-            let codec = &*self.codec;
-            match &self.telemetry {
-                Some(t) => {
-                    compress_pages_streamed_traced(codec, &to_compress, threads, &t.registry, sink)?
-                }
-                None => compress_pages_streamed(codec, &to_compress, threads, sink)?,
-            }
-        }
-        Ok(results
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("every page resolved"))
-            .collect())
-    }
-
     /// Store-back half of the batched pipeline: runs under the owning
     /// shard's lock only, with the compression already done.
     fn store_compressed(
@@ -1066,12 +623,12 @@ impl ShardedSfm {
         page: PageNumber,
         data: &[u8],
         compressed: &[u8],
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         let si = self.shard_of(page);
         let mut guard = self.shards[si].lock();
         let s = &mut *guard;
         if s.table.contains(page) {
-            return Err(Error::EntryExists { page: page.index() });
+            return Err(Error::EntryExists { page: page.index() }.into());
         }
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         self.store_page(si, s, tenant, page, data, Some(compressed), sw, 0)
@@ -1091,7 +648,7 @@ impl ShardedSfm {
         compressed: Option<&[u8]>,
         sw: Option<Stopwatch>,
         compress_ns: u64,
-    ) -> Result<SwapOutcome> {
+    ) -> SwapResult<SwapOutcome> {
         let cycles = self.cost.compress_cycles(PAGE_SIZE as u64);
         let comp_len = compressed.map_or(s.comp_buf.len(), <[u8]>::len);
         let raw = comp_len > self.config.max_compressed_len();
@@ -1143,7 +700,7 @@ impl ShardedSfm {
                             ns,
                         );
                     }
-                    return Err(e);
+                    return Err(e.into());
                 }
             }
         };
@@ -1379,18 +936,18 @@ impl ShardedSfm {
 
     /// One batched demotion round: scan for cold pages, fetch their
     /// contents from the caller, and push them through
-    /// [`ShardedSfm::swap_out_batch`]. Returns the demoted pages and the
+    /// [`SwapPlane::swap_out_batch`]. Returns the demoted pages and the
     /// per-page outcomes (in the same order).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ShardedSfm::swap_out_batch`].
+    /// Same conditions as [`SwapPlane::swap_out_batch`].
     pub fn demote_cold(
         &self,
         now: Nanos,
         threads: usize,
         fetch: impl Fn(PageNumber) -> Bytes,
-    ) -> Result<(Vec<PageNumber>, Vec<Result<SwapOutcome>>)> {
+    ) -> SwapResult<(Vec<PageNumber>, Vec<SwapResult<SwapOutcome>>)> {
         let cold = self.scan(now);
         let batch: Vec<(PageNumber, Bytes)> = cold.iter().map(|&p| (p, fetch(p))).collect();
         let results = self.swap_out_batch(&batch, threads)?;
@@ -1469,54 +1026,6 @@ impl ShardedSfm {
         self.minute.lock().stats
     }
 
-    /// Merged backend statistics across shards.
-    #[must_use]
-    pub fn stats(&self) -> BackendStats {
-        let mut total = BackendStats::default();
-        for shard in &self.shards {
-            let st = shard.lock().stats;
-            total.swap_outs += st.swap_outs;
-            total.swap_ins += st.swap_ins;
-            total.nma_executions += st.nma_executions;
-            total.cpu_executions += st.cpu_executions;
-            total.cpu_cycles += st.cpu_cycles;
-            total.ddr_bytes += st.ddr_bytes;
-            total.rejected_full += st.rejected_full;
-            total.stored_raw += st.stored_raw;
-        }
-        total
-    }
-
-    /// Merged zpool statistics across shards.
-    #[must_use]
-    pub fn pool_stats(&self) -> ZpoolStats {
-        let mut total = ZpoolStats::default();
-        for shard in &self.shards {
-            let st = shard.lock().pool.stats();
-            total.stored_bytes += st.stored_bytes;
-            total.slot_overhead += st.slot_overhead;
-            total.host_pages += st.host_pages;
-            total.objects += st.objects;
-        }
-        total
-    }
-
-    /// Per-tenant compressed-byte usage merged across shards, sorted by
-    /// tenant id. Derived from the resident entries (each billed to the
-    /// tenant recorded at swap-out), so the accounting can neither leak
-    /// nor double-count and the byte sum always equals
-    /// `pool_stats().stored_bytes`.
-    #[must_use]
-    pub fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for shard in &self.shards {
-            for (t, b) in shard.lock().table.tenant_bytes() {
-                *per.entry(t).or_insert(0) += b;
-            }
-        }
-        per.into_iter().collect()
-    }
-
     /// Live compressed entries per shard (for imbalance inspection).
     #[must_use]
     pub fn shard_entries(&self) -> Vec<u64> {
@@ -1533,9 +1042,407 @@ impl ShardedSfm {
             t.shards.update_imbalance(&self.shard_entries());
         }
     }
+}
+
+impl SwapPlane for ShardedSfm {
+    /// Compresses `data` (one 4 KiB page) into the owning shard,
+    /// billing the stored bytes to `ctx.tenant` (recorded on the entry)
+    /// until a swap-in consumes it. Observable behavior matches
+    /// [`CpuBackend`](crate::CpuBackend): same-filled short-circuit,
+    /// zswap-style raw-store reject, and a compact-once retry when the
+    /// global capacity budget is hit.
+    fn swap_out_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome> {
+        let tenant = ctx.tenant;
+        if data.len() != PAGE_SIZE {
+            return Err(Error::InvalidConfig(format!(
+                "swap_out requires a 4 KiB page, got {} bytes",
+                data.len()
+            ))
+            .into());
+        }
+        let si = self.shard_of(page);
+        let mut guard = self.shards[si].lock();
+        let s = &mut *guard;
+        if s.table.contains(page) {
+            return Err(Error::EntryExists { page: page.index() }.into());
+        }
+        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+
+        // zswap's same-filled-page check runs before compression: a page
+        // of one repeated byte stores just that byte.
+        if let Some(fill) = same_filled(data) {
+            if self.store_would_overflow(&s.pool, 1) {
+                return Err(Error::SfmRegionFull.into());
+            }
+            let handle = s.pool.alloc_faulted(&[fill], self.faults.as_deref())?;
+            let Shard {
+                pool, host_pages, ..
+            } = s;
+            self.sync_host_pages(pool, host_pages);
+            s.table.insert(
+                page,
+                SfmEntry {
+                    handle,
+                    compressed_len: 1,
+                    codec: CodecKind::SameFilled,
+                    checksum: xfm_faults::checksum(&[fill]),
+                    tenant,
+                },
+            )?;
+            let outcome = SwapOutcome {
+                executed_on: ExecutedOn::Cpu,
+                compressed_len: 1,
+                // The scan costs roughly one pass over the page.
+                cpu_cycles: Cycles::new(PAGE_SIZE as u64),
+                ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + 1),
+            };
+            s.stats.record(&outcome, true);
+            if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
+                let total = sw.elapsed_ns();
+                t.swap.swap_outs.inc();
+                t.swap.same_filled.inc();
+                t.swap.cpu_executions.inc();
+                t.swap.swap_out_ns.record(total);
+                t.swap.span(
+                    SwapStage::Compress,
+                    page.index(),
+                    0,
+                    total,
+                    Cause::SameFilled,
+                );
+                t.swap.lifecycle_event_for(
+                    LifecycleStage::Compress,
+                    Cause::SameFilled,
+                    tenant,
+                    page.index(),
+                    si as u32,
+                    u64::from(fill),
+                    total,
+                );
+                let ts = t.tenants.series(tenant);
+                ts.swap_outs.inc();
+                ts.bytes_stored.add(1);
+                t.shards.swap_outs[si].inc();
+                t.shards.busy_ns[si].add(total);
+                t.shards.entries[si].set(s.table.len() as f64);
+            }
+            return Ok(outcome);
+        }
+
+        s.comp_buf.clear();
+        let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+        {
+            let Shard {
+                comp_buf, scratch, ..
+            } = s;
+            self.codec.compress_into(data, comp_buf, scratch)?;
+        }
+        let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
+        self.store_page(si, s, tenant, page, data, None, sw, compress_ns)
+    }
+
+    /// Allocation-free fault path: decompresses `page` out of its shard
+    /// into `out`, removing the entry. `do_offload` is ignored (CPU
+    /// plane), and so is `ctx`: the freed bytes are credited to the
+    /// owner recorded on the entry.
+    fn swap_in_into_ctx(
+        &self,
+        _ctx: &OpContext,
+        page: PageNumber,
+        _do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        let si = self.shard_of(page);
+        let mut guard = self.shards[si].lock();
+        let s = &mut *guard;
+        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+        let entry = *s
+            .table
+            .get(page)
+            .ok_or(Error::EntryNotFound { page: page.index() })?;
+        let mut fetch_ns = 0u64;
+        let mut decomp_ns = 0u64;
+        out.clear();
+        // Decompress straight out of the pool's arena slice — the
+        // compressed bytes are never copied. The slot is freed after the
+        // borrow ends, even when decoding fails.
+        let decoded: Result<Cycles> = {
+            let Shard { pool, scratch, .. } = &mut *s;
+            let compressed = pool.get(entry.handle)?;
+            if let Some(sw) = &sw {
+                fetch_ns = sw.elapsed_ns();
+            }
+            // Verify before decoding. The checksum covers the bytes as
+            // fetched — an injected flip models in-transit corruption —
+            // so on mismatch the stored copy is still pristine and the
+            // error is retryable: entry and slot stay untouched.
+            let got = match self
+                .faults
+                .as_deref()
+                .and_then(|f| f.fire_value(FaultSite::BitCorruption))
+            {
+                Some(v) => {
+                    let mut fetched = compressed.to_vec();
+                    let bit = (v % (fetched.len() as u64 * 8)) as usize;
+                    fetched[bit / 8] ^= 1 << (bit % 8);
+                    xfm_faults::checksum(&fetched)
+                }
+                None => xfm_faults::checksum(compressed),
+            };
+            if got != entry.checksum {
+                if let Some(t) = &self.telemetry {
+                    t.swap.span(
+                        SwapStage::Fetch,
+                        page.index(),
+                        0,
+                        fetch_ns,
+                        Cause::ChecksumMismatch,
+                    );
+                    t.swap.lifecycle_event_for(
+                        LifecycleStage::Fault,
+                        Cause::ChecksumMismatch,
+                        entry.tenant,
+                        page.index(),
+                        si as u32,
+                        u64::from(entry.compressed_len),
+                        fetch_ns,
+                    );
+                }
+                return Err(Error::ChecksumMismatch {
+                    page: page.index(),
+                    expected: entry.checksum,
+                    got,
+                }
+                .into());
+            }
+            match entry.codec {
+                CodecKind::SameFilled => {
+                    out.resize(PAGE_SIZE, compressed[0]);
+                    Ok(Cycles::new(PAGE_SIZE as u64))
+                }
+                CodecKind::Raw => {
+                    out.extend_from_slice(compressed);
+                    Ok(Cycles::ZERO)
+                }
+                _ => {
+                    let dsw = sw.map(|_| Stopwatch::start());
+                    match self.codec.decompress_into(compressed, out, scratch) {
+                        Ok(_) if out.len() != PAGE_SIZE => Err(Error::Corrupt(format!(
+                            "page {page} decompressed to {} bytes",
+                            out.len()
+                        ))),
+                        Ok(_) => {
+                            decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
+                            Ok(self.cost.decompress_cycles(PAGE_SIZE as u64))
+                        }
+                        Err(e) => Err(e),
+                    }
+                }
+            }
+        };
+        s.table.remove(page)?;
+        s.pool.free(entry.handle)?;
+        {
+            let Shard {
+                pool, host_pages, ..
+            } = s;
+            self.sync_host_pages(pool, host_pages);
+        }
+        // The entry is consumed from here on — even when decoding
+        // failed — so the owner's compressed bytes are credited back
+        // unconditionally: no leak on the Corrupt fall-through.
+        if let Some(t) = &self.telemetry {
+            t.tenants
+                .series(entry.tenant)
+                .bytes_freed
+                .add(u64::from(entry.compressed_len));
+        }
+        let cycles = decoded?;
+
+        let outcome = SwapOutcome {
+            executed_on: ExecutedOn::Cpu,
+            compressed_len: entry.compressed_len,
+            cpu_cycles: cycles,
+            // Compressed read + restored page write.
+            ddr_bytes: ByteSize::from_bytes(u64::from(entry.compressed_len) + PAGE_SIZE as u64),
+        };
+        s.stats.record(&outcome, false);
+        if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
+            let total = sw.elapsed_ns();
+            let cause = match entry.codec {
+                CodecKind::SameFilled => Cause::SameFilled,
+                CodecKind::Raw => Cause::StoredRaw,
+                _ => Cause::Ok,
+            };
+            t.swap.swap_ins.inc();
+            t.swap.cpu_executions.inc();
+            t.swap.zpool_load_ns.record(fetch_ns);
+            t.swap.swap_in_ns.record(total);
+            t.swap.span(SwapStage::Fault, page.index(), 0, total, cause);
+            t.swap
+                .span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
+            t.swap.lifecycle_event_for(
+                LifecycleStage::Fault,
+                cause,
+                entry.tenant,
+                page.index(),
+                si as u32,
+                u64::from(entry.compressed_len),
+                total,
+            );
+            t.swap.lifecycle_event_for(
+                LifecycleStage::Fetch,
+                Cause::Ok,
+                entry.tenant,
+                page.index(),
+                si as u32,
+                u64::from(entry.compressed_len),
+                fetch_ns,
+            );
+            if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
+                t.swap.decompress_ns.record(decomp_ns);
+                t.swap.span(
+                    SwapStage::Decompress,
+                    page.index(),
+                    fetch_ns,
+                    decomp_ns,
+                    Cause::Ok,
+                );
+                t.swap.lifecycle_event_for(
+                    LifecycleStage::Decompress,
+                    Cause::Ok,
+                    entry.tenant,
+                    page.index(),
+                    si as u32,
+                    u64::from(entry.compressed_len),
+                    decomp_ns,
+                );
+            }
+            let ts = t.tenants.series(entry.tenant);
+            ts.swap_ins.inc();
+            ts.fault_ns.record(total);
+            t.shards.swap_ins[si].inc();
+            t.shards.busy_ns[si].add(total);
+            t.shards.entries[si].set(s.table.len() as f64);
+        }
+        Ok(outcome)
+    }
+
+    /// Batched swap-out pipeline. Same-filled (and invalid-size) pages
+    /// resolve inline; everything else is compressed by `threads`
+    /// workers from the `compress_pages` pool, and each finished page is
+    /// stored back under *only its owning shard's lock*. Per-page
+    /// results come back in submission order.
+    ///
+    /// Observable per-page behavior (outcome, stats, stored bytes)
+    /// matches calling [`SwapPlane::swap_out_ctx`] sequentially, except
+    /// that a page already present is only rejected at store-back time
+    /// (after its compression has been wasted).
+    fn swap_out_batch_ctx(
+        &self,
+        ctx: &OpContext,
+        batch: &[(PageNumber, Bytes)],
+        threads: usize,
+    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
+        let results: Mutex<Vec<Option<SwapResult<SwapOutcome>>>> =
+            Mutex::new((0..batch.len()).map(|_| None).collect());
+        let mut compress_idx: Vec<usize> = Vec::new();
+        let mut to_compress: Vec<Bytes> = Vec::new();
+        // Pages claimed earlier in this batch: later duplicates are
+        // rejected here, in submission order, so the out-of-order sink
+        // below can never race two occurrences of the same page.
+        let mut claimed: BTreeSet<u64> = BTreeSet::new();
+        for (i, (page, data)) in batch.iter().enumerate() {
+            if data.len() != PAGE_SIZE {
+                results.lock()[i] = Some(self.swap_out_ctx(ctx, *page, data));
+            } else if self.contains(*page) || claimed.contains(&page.index()) {
+                results.lock()[i] = Some(Err(Error::EntryExists { page: page.index() }.into()));
+            } else if same_filled(data).is_some() {
+                let res = self.swap_out_ctx(ctx, *page, data);
+                if res.is_ok() {
+                    claimed.insert(page.index());
+                }
+                results.lock()[i] = Some(res);
+            } else {
+                claimed.insert(page.index());
+                compress_idx.push(i);
+                to_compress.push(data.clone());
+            }
+        }
+        if !to_compress.is_empty() {
+            let sink = |r: PageResult| {
+                let bi = compress_idx[r.index];
+                let (page, data) = &batch[bi];
+                let res = self.store_compressed(ctx.tenant, *page, data, &r.compressed);
+                results.lock()[bi] = Some(res);
+            };
+            let codec = &*self.codec;
+            match &self.telemetry {
+                Some(t) => {
+                    compress_pages_streamed_traced(codec, &to_compress, threads, &t.registry, sink)?
+                }
+                None => compress_pages_streamed(codec, &to_compress, threads, sink)?,
+            }
+        }
+        Ok(results
+            .into_inner()
+            .into_iter()
+            .map(|r| r.expect("every page resolved"))
+            .collect())
+    }
+
+    /// Batched swap-in with per-shard claim batching: `pages[i]` lands
+    /// in `outs[i]` (cleared first), per-page results in submission
+    /// order. Pages are grouped by owning shard so each shard's lock is
+    /// taken exactly once, and every real-codec block in a shard is
+    /// decoded through [`Codec::decompress_batch_into`] — same-header
+    /// blocks share decode tables, which is what makes speculative
+    /// prefetch batches cheaper than N sequential faults. Per-page
+    /// observable behavior (outcome, stats, stored bytes, error
+    /// conditions) matches calling [`SwapPlane::swap_in_into`]
+    /// sequentially.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pages.len() != outs.len()`.
+    fn swap_in_batch_into(
+        &self,
+        pages: &[PageNumber],
+        outs: &mut [Vec<u8>],
+    ) -> Vec<SwapResult<SwapOutcome>> {
+        assert_eq!(
+            pages.len(),
+            outs.len(),
+            "swap_in_batch_into needs one output buffer per page"
+        );
+        let mut results: Vec<Option<SwapResult<SwapOutcome>>> =
+            (0..pages.len()).map(|_| None).collect();
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, p) in pages.iter().enumerate() {
+            by_shard[self.shard_of(*p)].push(i);
+        }
+        for (si, idxs) in by_shard.iter().enumerate() {
+            if !idxs.is_empty() {
+                self.swap_in_shard_batch(si, idxs, pages, outs, &mut results);
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every page resolved"))
+            .collect()
+    }
+
+    fn contains(&self, page: PageNumber) -> bool {
+        self.shards[self.shard_of(page)].lock().table.contains(page)
+    }
 
     /// Compacts every shard's pool, returning the merged report.
-    pub fn compact_all(&self) -> CompactReport {
+    fn compact(&self) -> CompactReport {
         let mut total = CompactReport::default();
         for shard in &self.shards {
             let mut s = shard.lock();
@@ -1550,75 +1457,50 @@ impl ShardedSfm {
         }
         total
     }
-}
 
-impl SwapPlane for ShardedSfm {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        ShardedSfm::swap_out(self, page, data).map_err(SwapError::from)
+    /// Merged backend statistics across shards.
+    fn stats(&self) -> BackendStats {
+        let mut total = BackendStats::default();
+        for shard in &self.shards {
+            let st = shard.lock().stats;
+            total.swap_outs += st.swap_outs;
+            total.swap_ins += st.swap_ins;
+            total.nma_executions += st.nma_executions;
+            total.cpu_executions += st.cpu_executions;
+            total.cpu_cycles += st.cpu_cycles;
+            total.ddr_bytes += st.ddr_bytes;
+            total.rejected_full += st.rejected_full;
+            total.stored_raw += st.stored_raw;
+        }
+        total
     }
 
-    fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        ShardedSfm::swap_in_into(self, page, do_offload, out).map_err(SwapError::from)
+    /// Merged zpool statistics across shards.
+    fn pool_stats(&self) -> ZpoolStats {
+        let mut total = ZpoolStats::default();
+        for shard in &self.shards {
+            let st = shard.lock().pool.stats();
+            total.stored_bytes += st.stored_bytes;
+            total.slot_overhead += st.slot_overhead;
+            total.host_pages += st.host_pages;
+            total.objects += st.objects;
+        }
+        total
     }
 
-    fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        ShardedSfm::swap_out_batch(self, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
-    }
-
-    fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<SwapResult<SwapOutcome>> {
-        ShardedSfm::swap_in_batch_into(self, pages, outs)
-            .into_iter()
-            .map(|r| r.map_err(SwapError::from))
-            .collect()
-    }
-
-    fn swap_out_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        ShardedSfm::swap_out_for(self, ctx.tenant, page, data).map_err(SwapError::from)
-    }
-
-    fn swap_out_batch_ctx(
-        &self,
-        ctx: &OpContext,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        ShardedSfm::swap_out_batch_for(self, ctx.tenant, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
-    }
-
+    /// Per-tenant compressed-byte usage merged across shards, sorted by
+    /// tenant id. Derived from the resident entries (each billed to the
+    /// tenant recorded at swap-out), so the accounting can neither leak
+    /// nor double-count and the byte sum always equals
+    /// `pool_stats().stored_bytes`.
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        ShardedSfm::tenant_usage(self)
+        let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
+        for shard in &self.shards {
+            for (t, b) in shard.lock().table.tenant_bytes() {
+                *per.entry(t).or_insert(0) += b;
+            }
+        }
+        per.into_iter().collect()
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
@@ -1628,22 +1510,6 @@ impl SwapPlane for ShardedSfm {
             .get(page)
             .map(|e| e.tenant)
     }
-
-    fn contains(&self, page: PageNumber) -> bool {
-        ShardedSfm::contains(self, page)
-    }
-
-    fn compact(&self) -> CompactReport {
-        self.compact_all()
-    }
-
-    fn stats(&self) -> BackendStats {
-        ShardedSfm::stats(self)
-    }
-
-    fn pool_stats(&self) -> ZpoolStats {
-        ShardedSfm::pool_stats(self)
-    }
 }
 
 #[cfg(test)]
@@ -1651,6 +1517,7 @@ mod tests {
     use super::*;
     use crate::CpuBackend;
     use xfm_compress::Corpus;
+    use xfm_types::SwapError;
 
     fn page_of(corpus: Corpus, seed: u64) -> Vec<u8> {
         corpus.generate(seed, PAGE_SIZE)
@@ -1783,15 +1650,15 @@ mod tests {
             let b = cpu.swap_out(PageNumber::new(i as u64), &page).unwrap();
             assert_eq!(a, b, "{}", corpus.name());
         }
-        assert_eq!(ShardedSfm::stats(&sfm), cpu.stats());
-        assert_eq!(ShardedSfm::pool_stats(&sfm), cpu.pool_stats());
+        assert_eq!(sfm.stats(), cpu.stats());
+        assert_eq!(sfm.pool_stats(), cpu.pool_stats());
         for i in 0..Corpus::all().len() as u64 {
             let (da, oa) = sfm.swap_in(PageNumber::new(i), false).unwrap();
             let (db, ob) = cpu.swap_in(PageNumber::new(i), false).unwrap();
             assert_eq!(da, db);
             assert_eq!(oa, ob);
         }
-        assert_eq!(ShardedSfm::stats(&sfm), cpu.stats());
+        assert_eq!(sfm.stats(), cpu.stats());
     }
 
     #[test]
@@ -1812,10 +1679,11 @@ mod tests {
         sfm.swap_out(PageNumber::new(0), &pages[0]).unwrap();
         sfm.swap_out(PageNumber::new(1), &pages[1]).unwrap();
         assert!(matches!(
-            sfm.swap_out(PageNumber::new(2), &pages[2]),
+            sfm.swap_out(PageNumber::new(2), &pages[2])
+                .map_err(Error::from),
             Err(Error::SfmRegionFull)
         ));
-        assert_eq!(ShardedSfm::stats(&sfm).rejected_full, 1);
+        assert_eq!(sfm.stats().rejected_full, 1);
         // Swapping one in frees global budget for any shard.
         sfm.swap_in(PageNumber::new(0), false).unwrap();
         sfm.swap_out(PageNumber::new(2), &pages[2]).unwrap();
@@ -1841,14 +1709,8 @@ mod tests {
             let seq = seq_plane.swap_out(*page, data).unwrap();
             assert_eq!(res.as_ref().unwrap(), &seq);
         }
-        assert_eq!(
-            ShardedSfm::stats(&batch_plane),
-            ShardedSfm::stats(&seq_plane)
-        );
-        assert_eq!(
-            ShardedSfm::pool_stats(&batch_plane),
-            ShardedSfm::pool_stats(&seq_plane)
-        );
+        assert_eq!(batch_plane.stats(), seq_plane.stats());
+        assert_eq!(batch_plane.pool_stats(), seq_plane.pool_stats());
         // Every page faults back identical on both planes.
         for (page, data) in &batch {
             let (a, _) = batch_plane.swap_in(*page, false).unwrap();
@@ -1869,8 +1731,14 @@ mod tests {
             (PageNumber::new(7), Bytes::from(good.clone())), // fine
         ];
         let results = sfm.swap_out_batch(&batch, 2).unwrap();
-        assert!(matches!(results[0], Err(Error::EntryExists { page: 5 })));
-        assert!(matches!(results[1], Err(Error::InvalidConfig(_))));
+        assert!(matches!(
+            results[0].as_ref().map_err(SwapError::cause),
+            Err(Error::EntryExists { page: 5 })
+        ));
+        assert!(matches!(
+            results[1].as_ref().map_err(SwapError::cause),
+            Err(Error::InvalidConfig(_))
+        ));
         assert!(results[2].is_ok());
         assert!(sfm.contains(PageNumber::new(7)));
     }
@@ -1942,7 +1810,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cold.len(), 16);
-        assert!(results.iter().all(Result::is_ok));
+        assert!(results.iter().all(std::result::Result::is_ok));
         assert_eq!(sfm.far_pages(), 16);
         for p in 0..16u64 {
             let (restored, _) = sfm.swap_in(PageNumber::new(p), false).unwrap();
@@ -1971,10 +1839,10 @@ mod tests {
                 });
             }
         });
-        let stats = ShardedSfm::stats(&sfm);
+        let stats = sfm.stats();
         assert_eq!(stats.swap_outs, 4 * PER_THREAD);
         assert_eq!(stats.swap_ins, 4 * PER_THREAD);
-        assert_eq!(ShardedSfm::pool_stats(&sfm).objects, 0);
+        assert_eq!(sfm.pool_stats().objects, 0);
     }
 
     #[test]

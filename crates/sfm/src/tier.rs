@@ -33,8 +33,8 @@ use parking_lot::Mutex;
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, LifecycleStage, Registry};
 use xfm_types::{
-    ByteSize, Cycles, Error, OpContext, PageNumber, PlacementClass, PlaneId, SwapResult, TenantId,
-    PAGE_SIZE,
+    ByteSize, Cycles, Error, OpContext, PageNumber, PlacementClass, PlaneId, SwapError, SwapResult,
+    TenantId, PAGE_SIZE,
 };
 
 use crate::autotune::TierBias;
@@ -378,11 +378,11 @@ impl TieredPlane {
     }
 }
 
-impl TieredPlane {
-    /// The shared swap-out body: `ctx.tenant` is recorded in the
-    /// directory and travels with the page through every later
-    /// demotion or promotion.
-    fn swap_out_with(
+impl SwapPlane for TieredPlane {
+    /// Stores on the hottest tier that accepts the page. `ctx.tenant` is
+    /// recorded in the directory and travels with the page through
+    /// every later demotion or promotion.
+    fn swap_out_ctx(
         &self,
         ctx: &OpContext,
         page: PageNumber,
@@ -393,10 +393,8 @@ impl TieredPlane {
         let owner_tier = {
             let dir = self.dir.lock();
             if dir.parked.contains_key(&page.index()) {
-                return Err(
-                    xfm_types::SwapError::from(Error::EntryExists { page: page.index() })
-                        .with_plane(self.tiers[0].id),
-                );
+                return Err(SwapError::from(Error::EntryExists { page: page.index() })
+                    .with_plane(self.tiers[0].id));
             }
             dir.owner.get(&page.index()).map(|loc| loc.tier)
         };
@@ -421,24 +419,10 @@ impl TieredPlane {
         self.rebalance();
         Ok(outcome)
     }
-}
 
-impl SwapPlane for TieredPlane {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        self.swap_out_with(&OpContext::SYSTEM, page, data)
-    }
-
-    fn swap_out_ctx(
+    fn swap_in_into_ctx(
         &self,
         ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        self.swap_out_with(ctx, page, data)
-    }
-
-    fn swap_in_into(
-        &self,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
@@ -457,7 +441,10 @@ impl SwapPlane for TieredPlane {
                 .get(&page.index())
                 .map_or((0, TenantId::SYSTEM), |loc| (loc.tier, loc.tenant))
         };
-        match self.tiers[k].plane.swap_in_into(page, do_offload, out) {
+        match self.tiers[k]
+            .plane
+            .swap_in_into_ctx(ctx, page, do_offload, out)
+        {
             Ok(outcome) => {
                 self.dir.lock().remove(page.index());
                 if k > 0 {
@@ -480,14 +467,6 @@ impl SwapPlane for TieredPlane {
                 Err(e.with_plane(self.tiers[k].id))
             }
         }
-    }
-
-    fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        self.swap_out_batch_ctx(&OpContext::SYSTEM, batch, threads)
     }
 
     fn swap_out_batch_ctx(
@@ -515,7 +494,7 @@ impl SwapPlane for TieredPlane {
         // different tier, then trigger cascading demotion).
         Ok(batch
             .iter()
-            .map(|(page, data)| self.swap_out_with(ctx, *page, data))
+            .map(|(page, data)| self.swap_out_ctx(ctx, *page, data))
             .collect())
     }
 

@@ -10,41 +10,18 @@
 //! operation, telemetry attached: threading identity through the hot
 //! path costs registers and one map lookup, never an allocation.
 //!
-//! Structure mirrors `sharded_zero_alloc.rs` (one `#[test]`, because
-//! the allocation counter is process-global): a strict phase with
+//! Structure mirrors `sharded_zero_alloc.rs`: a strict phase with
 //! telemetry attached and per-tenant counters verified, then a parity
 //! phase proving the ctx surface allocates exactly as much as the
 //! context-free surface on real codec pages — i.e. zero overhead.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::count_allocs;
 use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, OpContext, PageNumber, TenantId, PAGE_SIZE};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const SHARDS: usize = 4;
 const WORKING_SET: u64 = 16;
@@ -102,11 +79,12 @@ fn measure_ctx(sfm: &ShardedSfm, pages: &[(PageNumber, Vec<u8>)]) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round();
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_ROUNDS {
-        round();
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    let ((), allocs) = count_allocs(|| {
+        for _ in 0..MEASURED_ROUNDS {
+            round();
+        }
+    });
+    allocs
 }
 
 /// Same rounds through the context-free surface (system tenant).
@@ -124,11 +102,12 @@ fn measure_plain(sfm: &ShardedSfm, pages: &[(PageNumber, Vec<u8>)]) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round();
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_ROUNDS {
-        round();
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    let ((), allocs) = count_allocs(|| {
+        for _ in 0..MEASURED_ROUNDS {
+            round();
+        }
+    });
+    allocs
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use xfm_sfm::{CpuBackend, SfmConfig, Zpool};
+use xfm_sfm::{CpuBackend, SfmConfig, SwapPlane, Zpool};
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
 
 /// An operation against the zpool.

@@ -13,9 +13,10 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use xfm_sfm::{
-    ColdScanConfig, CpuBackend, SfmConfig, SfmController, ShardedSfm, ShardedSfmConfig, SwapOutcome,
+    ColdScanConfig, CpuBackend, SfmConfig, SfmController, ShardedSfm, ShardedSfmConfig,
+    SwapOutcome, SwapPlane,
 };
-use xfm_types::{ByteSize, Nanos, PageNumber, Result as XfmResult, PAGE_SIZE};
+use xfm_types::{ByteSize, Error, Nanos, PageNumber, Result as XfmResult, PAGE_SIZE};
 
 /// Distinct pages the ops draw from (small enough to force collisions).
 const PAGES: u64 = 24;
@@ -96,8 +97,8 @@ proptest! {
             match op {
                 Op::SwapOut(p, k) => {
                     let data = content(p, k);
-                    let a = sharded.swap_out(PageNumber::new(p), &data);
-                    let b = cpu.swap_out(PageNumber::new(p), &data);
+                    let a = sharded.swap_out(PageNumber::new(p), &data).map_err(Error::from);
+                    let b = cpu.swap_out(PageNumber::new(p), &data).map_err(Error::from);
                     prop_assert_eq!(fmt(&a), fmt(&b), "swap_out page {}", p);
                 }
                 Op::SwapOutBatch(items) => {
@@ -107,14 +108,15 @@ proptest! {
                         .collect();
                     let results = sharded.swap_out_batch(&batch, 3).unwrap();
                     prop_assert_eq!(results.len(), batch.len());
-                    for ((pn, data), ar) in batch.iter().zip(&results) {
-                        let br = cpu.swap_out(*pn, data);
-                        prop_assert_eq!(fmt(ar), fmt(&br), "batch page {}", pn);
+                    for ((pn, data), ar) in batch.iter().zip(results) {
+                        let ar = ar.map_err(Error::from);
+                        let br = cpu.swap_out(*pn, data).map_err(Error::from);
+                        prop_assert_eq!(fmt(&ar), fmt(&br), "batch page {}", pn);
                     }
                 }
                 Op::SwapIn(p) => {
-                    let a = sharded.swap_in(PageNumber::new(p), false);
-                    let b = cpu.swap_in(PageNumber::new(p), false);
+                    let a = sharded.swap_in(PageNumber::new(p), false).map_err(Error::from);
+                    let b = cpu.swap_in(PageNumber::new(p), false).map_err(Error::from);
                     match (a, b) {
                         (Ok((da, oa)), Ok((db, ob))) => {
                             prop_assert_eq!(da, db, "swap_in data page {}", p);
@@ -153,7 +155,7 @@ proptest! {
                 Op::Compact => {
                     // Moved bytes legitimately depend on per-shard packing;
                     // only the observable state below must stay equal.
-                    let _ = sharded.compact_all();
+                    let _ = sharded.compact();
                     let _ = cpu.compact();
                 }
             }

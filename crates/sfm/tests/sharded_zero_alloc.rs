@@ -8,8 +8,7 @@
 //! with **zero** heap allocations per operation — telemetry attached or
 //! not.
 //!
-//! Two phases, one test function (the allocation counter is global, so
-//! this file hosts a single `#[test]`):
+//! Two phases:
 //!
 //! 1. **Strict**: a same-filled working set (class-0 objects) with one
 //!    pinned entry per shard so no shard's table, handle map, or host
@@ -23,35 +22,13 @@
 //! scope: it allocates per batch (result slots, worker scratch) by
 //! design and amortizes that over the batch.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig};
+use counting_alloc::count_allocs;
+use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const SHARDS: usize = 4;
 const WORKING_SET: u64 = 16;
@@ -105,11 +82,12 @@ fn measure(sfm: &ShardedSfm, pages: &[(PageNumber, Vec<u8>)]) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round();
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_ROUNDS {
-        round();
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    let ((), allocs) = count_allocs(|| {
+        for _ in 0..MEASURED_ROUNDS {
+            round();
+        }
+    });
+    allocs
 }
 
 #[test]

@@ -161,7 +161,7 @@ pub struct LifecycleEvent {
     /// Shard that handled the page (`u32::MAX` when not sharded).
     pub shard: u32,
     /// Tenant the operation was billed to ([`TenantId::SYSTEM`] for
-    /// internal and legacy context-free traffic). Decoded from the
+    /// internal and context-free traffic). Decoded from the
     /// 8-bit wire code, so tenant ids above 255 alias to 255 here.
     pub tenant: TenantId,
     /// Stage-specific auxiliary datum (codec route code, attempt

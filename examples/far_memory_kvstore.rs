@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::serve::{FarKvService, PutResult, ServiceClass, TenantSpec};
+use xfm::sfm::SwapPlane;
 use xfm::telemetry::Registry;
 use xfm::types::{ByteSize, Nanos, Result, TenantId, PAGE_SIZE};
 

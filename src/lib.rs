@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use xfm::core::{XfmConfig, XfmSystem};
+//! use xfm::sfm::SwapPlane;
 //! use xfm::types::{Nanos, PageNumber};
 //!
 //! // Build an XFM system (one DIMM, 2 MiB SPM, DDR4 refresh calendar).

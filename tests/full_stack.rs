@@ -6,7 +6,7 @@ use xfm::compress::Corpus;
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::core::nma::NmaConfig;
 use xfm::core::{XfmConfig, XfmSystem};
-use xfm::sfm::backend::{ExecutedOn, SfmConfig};
+use xfm::sfm::backend::{ExecutedOn, SfmConfig, SwapPlane};
 use xfm::sfm::{ColdScanConfig, CpuBackend, SfmController, TraceConfig, TraceGenerator};
 use xfm::types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
