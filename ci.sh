@@ -4,6 +4,10 @@ set -euo pipefail
 
 cargo fmt --all -- --check
 cargo build --release
+# The serving benchmark is its own package (path deps on crates/*), so
+# the workspace build does not compile it; build it here so a public-API
+# change that breaks the benchmark fails CI.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 cargo test --workspace -q
 # The sharded data plane must hold up under a parallel test harness too.

@@ -80,14 +80,14 @@ fn main() {
             let ins = &snapshot.histograms["xfm_swap_in_latency_ns"];
             println!(
                 "telemetry snapshot written to {path}: {} swap-outs (p50 {} ns, p99 {} ns), \
-                 {} swap-ins (p50 {} ns, p99 {} ns), {} spans\n",
+                 {} swap-ins (p50 {} ns, p99 {} ns), {} lifecycle events\n",
                 outs.count,
                 outs.p50,
                 outs.p99,
                 ins.count,
                 ins.p50,
                 ins.p99,
-                snapshot.spans.len()
+                snapshot.events.len()
             );
         }
     }

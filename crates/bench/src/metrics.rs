@@ -3,8 +3,9 @@
 //!
 //! One run produces, on a single registry:
 //!
-//! - swap-path counters, latency histograms, and cause-tagged spans from
-//!   an [`XfmSystem`] cold-scan → demote → fault → restore loop;
+//! - swap-path counters, latency histograms, and cause-tagged lifecycle
+//!   events from an [`XfmSystem`] cold-scan → demote → fault → restore
+//!   loop;
 //! - per-rank refresh-window utilization gauges published by the
 //!   backend's drivers;
 //! - modeled DRAM access latencies from a [`MemSystem`] page drive;
@@ -43,7 +44,7 @@ pub fn collect(registry: &Registry) -> Result<Snapshot> {
     dram_drive(registry)?;
 
     // Structural-hazard telemetry from the Fig. 12 fallback simulator:
-    // an overloaded point (1 access/tRFC) guarantees cause-tagged spans.
+    // an overloaded point (1 access/tRFC) guarantees cause-tagged events.
     let _ = simulate_traced(
         &FallbackConfig {
             accesses_per_trfc: 1,
@@ -78,7 +79,7 @@ pub fn collect(registry: &Registry) -> Result<Snapshot> {
 /// Cold-scan, demote, and restore a working set through an attached
 /// [`XfmSystem`]: fills the swap in/out histograms, executes real NMA
 /// offloads (publishing the rank-utilization gauges), and leaves
-/// cold-scan plus per-page spans on the trace ring.
+/// cold-scan plus per-page events on the lifecycle trail.
 fn swap_path_exercise(registry: &Registry) -> Result<()> {
     let mut sys = XfmSystem::new(XfmConfig {
         scan: ColdScanConfig {
@@ -164,8 +165,8 @@ mod tests {
             .collect();
         assert!(utils.len() >= 2, "expected per-rank utilization gauges");
         assert!(utils.iter().all(|u| (0.0..=1.0).contains(u)));
-        // At least one traced swap span, and the DRAM model histogram.
-        assert!(!s.spans.is_empty());
+        // Lifecycle events on the trail, and the DRAM model histogram.
+        assert!(!s.events.is_empty());
         assert!(s.histograms["xfm_dram_access_latency_ns"].count > 0);
         // The sim layers contributed their series too.
         assert!(s.counters["xfm_sim_nma_completed_total"] > 0);

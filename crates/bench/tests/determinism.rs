@@ -12,6 +12,19 @@ fn same_seed_full_stack_exports_are_byte_identical() {
     for key in ["\"fallback\"", "\"mem\"", "\"nma\"", "\"telemetry\""] {
         assert!(first.contains(key), "export missing {key} section");
     }
+    // The byte-diff covers the simulator's event stream: the trail's
+    // sim-timestamped events are exported, not an empty array.
+    let events = first
+        .split("\"events\": [")
+        .nth(1)
+        .expect("export missing the events array");
+    let exported = events
+        .split("\n  ]")
+        .next()
+        .unwrap_or_default()
+        .matches("{\"seq\": ")
+        .count();
+    assert!(exported > 0, "export carries no lifecycle events");
 }
 
 #[test]

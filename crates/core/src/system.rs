@@ -5,8 +5,9 @@ use xfm_compress::Corpus;
 use xfm_sfm::backend::{ExecutedOn, SwapPlane};
 use xfm_sfm::controller::{ColdScanConfig, SfmController};
 use xfm_sfm::trace::{SwapEvent, SwapKind};
+use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{Cause, Registry, SwapMetrics, SwapStage};
+use xfm_telemetry::{Cause, LifecycleStage, Registry, SwapMetrics};
 use xfm_types::{ByteSize, Nanos, Result, SwapResult, PAGE_SIZE};
 
 use crate::backend::{XfmBackend, XfmBackendConfig};
@@ -65,7 +66,7 @@ pub struct ReplayReport {
 pub struct XfmSystem {
     backend: XfmBackend,
     controller: SfmController,
-    /// Metric handles for control-plane (cold-scan) spans; the swap
+    /// Metric handles for control-plane (cold-scan) events; the swap
     /// data plane records through the backend's own handles.
     telemetry: Option<SwapMetrics>,
 }
@@ -97,26 +98,28 @@ impl XfmSystem {
     }
 
     /// Attaches telemetry to the whole stack: the backend's swap-path
-    /// counters/histograms/gauges plus control-plane cold-scan spans,
+    /// counters/histograms/gauges plus control-plane cold-scan events,
     /// all on the shared `registry`.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.backend.attach_telemetry(registry);
         self.telemetry = Some(SwapMetrics::register(registry));
     }
 
-    /// Scans for cold pages, recording a [`SwapStage::ColdScan`] span
-    /// when telemetry is attached (the span's `page` field carries the
-    /// number of cold pages found).
+    /// Scans for cold pages, recording a
+    /// [`LifecycleStage::ColdScanSelect`] event when telemetry is
+    /// attached (the event's `aux` field carries the number of cold
+    /// pages found).
     pub fn scan_cold(&mut self, now: Nanos) -> Vec<xfm_types::PageNumber> {
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let cold = self.controller.scan(now);
         if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-            t.span(
-                SwapStage::ColdScan,
-                cold.len() as u64,
-                now.as_ns(),
-                sw.elapsed_ns(),
+            t.lifecycle_event(
+                LifecycleStage::ColdScanSelect,
                 Cause::Ok,
+                0,
+                NO_SHARD,
+                cold.len() as u64,
+                sw.elapsed_ns(),
             );
         }
         cold
@@ -312,9 +315,9 @@ mod tests {
         assert_eq!(s.counters["xfm_swap_outs_total"], 8);
         assert_eq!(s.counters["xfm_swap_ins_total"], 8);
         assert!(s
-            .spans
+            .events
             .iter()
-            .any(|sp| matches!(sp.stage, SwapStage::ColdScan) && sp.page == 8));
+            .any(|e| e.stage == LifecycleStage::ColdScanSelect && e.aux == 8));
         assert!(s.histograms["xfm_swap_in_latency_ns"].p99 > 0);
     }
 

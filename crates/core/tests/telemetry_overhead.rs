@@ -5,9 +5,9 @@
 //! too noisy for CI, so this asserts the stronger structural property
 //! that bounds the overhead: attaching telemetry adds **zero** heap
 //! allocations per steady-state swap — every recording is a relaxed
-//! atomic or a write into the preallocated span ring, leaving only a
-//! handful of `Instant::now()` calls (tens of nanoseconds against a
-//! multi-microsecond compression) as the cost.
+//! atomic or a write into the preallocated lifecycle trail, leaving
+//! only a handful of `Instant::now()` calls (tens of nanoseconds
+//! against a multi-microsecond compression) as the cost.
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -16,7 +16,7 @@ use counting_alloc::count_allocs;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_sfm::backend::SfmConfig;
 use xfm_sfm::{CpuBackend, SwapPlane};
-use xfm_telemetry::Registry;
+use xfm_telemetry::{LifecycleStage, Registry};
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 const WORKING_SET: u64 = 16;
@@ -89,7 +89,12 @@ fn attached_telemetry_adds_zero_steady_state_allocations() {
         s.counters["xfm_swap_outs_total"],
         WORKING_SET * (WARMUP_ROUNDS + MEASURED_ROUNDS)
     );
-    assert!(!s.spans.is_empty());
+    for stage in [LifecycleStage::Compress, LifecycleStage::Fault] {
+        assert!(
+            s.events.iter().any(|e| e.stage == stage),
+            "no {stage:?} event on the trail"
+        );
+    }
 }
 
 /// The reusable-sink window advance (`advance_to_into`) must be

@@ -18,8 +18,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_faults::{FaultInjector, FaultSite};
+use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{Cause, Registry, SwapMetrics, SwapStage};
+use xfm_telemetry::{Cause, LifecycleStage, Registry, SwapMetrics};
 use xfm_types::{
     ByteSize, Cycles, Error, OpContext, PageNumber, Result, SwapResult, TenantId, PAGE_SIZE,
 };
@@ -124,7 +125,9 @@ impl CpuBackend {
     ///
     /// The baseline backend reports through the same `xfm_*` series as
     /// the XFM backend — every operation counts as a CPU execution —
-    /// so A/B comparisons read one schema.
+    /// so A/B comparisons read one schema. Its swaps land on the
+    /// registry's lifecycle trail with the stages and causes
+    /// [`crate::ShardedSfm`] records, under [`NO_SHARD`].
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.inner.lock().telemetry = Some(SwapMetrics::register(registry));
     }
@@ -249,12 +252,14 @@ impl CpuInner {
                 t.same_filled.inc();
                 t.cpu_executions.inc();
                 t.swap_out_ns.record(total);
-                t.span(
-                    SwapStage::Compress,
-                    page.index(),
-                    0,
-                    total,
+                t.lifecycle_event_for(
+                    LifecycleStage::Compress,
                     Cause::SameFilled,
+                    tenant,
+                    page.index(),
+                    NO_SHARD,
+                    u64::from(fill),
+                    total,
                 );
             }
             return Ok(outcome);
@@ -291,12 +296,14 @@ impl CpuInner {
                     Err(e) => {
                         self.stats.rejected_full += 1;
                         if let Some(t) = &self.telemetry {
-                            t.span(
-                                SwapStage::ZpoolStore,
-                                page.index(),
-                                0,
-                                ssw.map_or(0, |s| s.elapsed_ns()),
+                            t.lifecycle_event_for(
+                                LifecycleStage::ZpoolStore,
                                 Cause::RegionFull,
+                                tenant,
+                                page.index(),
+                                NO_SHARD,
+                                bytes.len() as u64,
+                                ssw.map_or(0, |s| s.elapsed_ns()),
                             );
                         }
                         return Err(e.into());
@@ -338,13 +345,23 @@ impl CpuInner {
             t.compress_ns.record(compress_ns);
             t.zpool_store_ns.record(store_ns);
             t.swap_out_ns.record(total);
-            t.span(SwapStage::Compress, page.index(), 0, compress_ns, cause);
-            t.span(
-                SwapStage::ZpoolStore,
+            t.lifecycle_event_for(
+                LifecycleStage::Compress,
+                cause,
+                tenant,
                 page.index(),
+                NO_SHARD,
+                self.comp_buf.len() as u64,
                 compress_ns,
+            );
+            t.lifecycle_event_for(
+                LifecycleStage::ZpoolStore,
+                cause,
+                tenant,
+                page.index(),
+                NO_SHARD,
+                u64::from(outcome.compressed_len),
                 store_ns,
-                Cause::Ok,
             );
         }
         Ok(outcome)
@@ -391,12 +408,14 @@ impl CpuInner {
             };
             if got != entry.checksum {
                 if let Some(t) = &self.telemetry {
-                    t.span(
-                        SwapStage::Fetch,
-                        page.index(),
-                        0,
-                        fetch_ns,
+                    t.lifecycle_event_for(
+                        LifecycleStage::Fault,
                         Cause::ChecksumMismatch,
+                        entry.tenant,
+                        page.index(),
+                        NO_SHARD,
+                        u64::from(entry.compressed_len),
+                        fetch_ns,
                     );
                 }
                 return Err(Error::ChecksumMismatch {
@@ -457,16 +476,34 @@ impl CpuInner {
             t.cpu_executions.inc();
             t.zpool_load_ns.record(fetch_ns);
             t.swap_in_ns.record(total);
-            t.span(SwapStage::Fault, page.index(), 0, total, cause);
-            t.span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
+            t.lifecycle_event_for(
+                LifecycleStage::Fault,
+                cause,
+                entry.tenant,
+                page.index(),
+                NO_SHARD,
+                u64::from(entry.compressed_len),
+                total,
+            );
+            t.lifecycle_event_for(
+                LifecycleStage::Fetch,
+                Cause::Ok,
+                entry.tenant,
+                page.index(),
+                NO_SHARD,
+                u64::from(entry.compressed_len),
+                fetch_ns,
+            );
             if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
                 t.decompress_ns.record(decomp_ns);
-                t.span(
-                    SwapStage::Decompress,
-                    page.index(),
-                    fetch_ns,
-                    decomp_ns,
+                t.lifecycle_event_for(
+                    LifecycleStage::Decompress,
                     Cause::Ok,
+                    entry.tenant,
+                    page.index(),
+                    NO_SHARD,
+                    u64::from(entry.compressed_len),
+                    decomp_ns,
                 );
             }
         }
@@ -702,11 +739,11 @@ mod tests {
         // don't fit, so compress has 2 samples; decompress has 1).
         assert_eq!(s.histograms["xfm_compress_latency_ns"].count, 2);
         assert_eq!(s.histograms["xfm_decompress_latency_ns"].count, 1);
-        assert!(!s.spans.is_empty());
+        assert!(!s.events.is_empty());
         assert!(s
-            .spans
+            .events
             .iter()
-            .any(|sp| matches!(sp.cause, Cause::SameFilled)));
+            .any(|e| e.stage == LifecycleStage::Compress && e.cause == Cause::SameFilled));
     }
 
     #[test]

@@ -39,9 +39,7 @@ use xfm_compress::{
 };
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{
-    Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, SwapStage, TenantMetrics,
-};
+use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics};
 use xfm_types::{
     ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, SwapResult, TenantId, PAGE_SIZE,
 };
@@ -354,13 +352,6 @@ impl ShardedSfm {
             };
             if got != entry.checksum {
                 if let Some(t) = &self.telemetry {
-                    t.swap.span(
-                        SwapStage::Fetch,
-                        page.index(),
-                        0,
-                        fetch_ns,
-                        Cause::ChecksumMismatch,
-                    );
                     t.swap.lifecycle_event_for(
                         LifecycleStage::Fault,
                         Cause::ChecksumMismatch,
@@ -564,9 +555,6 @@ impl ShardedSfm {
             t.swap.cpu_executions.inc();
             t.swap.zpool_load_ns.record(fetch_ns);
             t.swap.swap_in_ns.record(op_ns);
-            t.swap.span(SwapStage::Fault, page.index(), 0, op_ns, cause);
-            t.swap
-                .span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
             t.swap.lifecycle_event_for(
                 LifecycleStage::Fault,
                 cause,
@@ -587,13 +575,6 @@ impl ShardedSfm {
             );
             if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
                 t.swap.decompress_ns.record(decomp_ns);
-                t.swap.span(
-                    SwapStage::Decompress,
-                    page.index(),
-                    fetch_ns,
-                    decomp_ns,
-                    Cause::Ok,
-                );
                 t.swap.lifecycle_event_for(
                     LifecycleStage::Decompress,
                     Cause::Ok,
@@ -683,13 +664,6 @@ impl ShardedSfm {
                 Err(e) => {
                     if let Some(t) = &self.telemetry {
                         let ns = ssw.map_or(0, |s| s.elapsed_ns());
-                        t.swap.span(
-                            SwapStage::ZpoolStore,
-                            page.index(),
-                            0,
-                            ns,
-                            Cause::RegionFull,
-                        );
                         t.swap.lifecycle_event_for(
                             LifecycleStage::ZpoolStore,
                             Cause::RegionFull,
@@ -760,8 +734,6 @@ impl ShardedSfm {
                 // The batched pipeline records compression latency from
                 // inside the worker pool instead.
                 t.swap.compress_ns.record(compress_ns);
-                t.swap
-                    .span(SwapStage::Compress, page.index(), 0, compress_ns, cause);
             }
             t.swap.lifecycle_event_for(
                 LifecycleStage::Compress,
@@ -774,13 +746,6 @@ impl ShardedSfm {
             );
             t.swap.zpool_store_ns.record(store_ns);
             t.swap.swap_out_ns.record(total);
-            t.swap.span(
-                SwapStage::ZpoolStore,
-                page.index(),
-                compress_ns,
-                store_ns,
-                Cause::Ok,
-            );
             t.swap.lifecycle_event_for(
                 LifecycleStage::ZpoolStore,
                 cause,
@@ -1108,13 +1073,6 @@ impl SwapPlane for ShardedSfm {
                 t.swap.same_filled.inc();
                 t.swap.cpu_executions.inc();
                 t.swap.swap_out_ns.record(total);
-                t.swap.span(
-                    SwapStage::Compress,
-                    page.index(),
-                    0,
-                    total,
-                    Cause::SameFilled,
-                );
                 t.swap.lifecycle_event_for(
                     LifecycleStage::Compress,
                     Cause::SameFilled,
@@ -1196,13 +1154,6 @@ impl SwapPlane for ShardedSfm {
             };
             if got != entry.checksum {
                 if let Some(t) = &self.telemetry {
-                    t.swap.span(
-                        SwapStage::Fetch,
-                        page.index(),
-                        0,
-                        fetch_ns,
-                        Cause::ChecksumMismatch,
-                    );
                     t.swap.lifecycle_event_for(
                         LifecycleStage::Fault,
                         Cause::ChecksumMismatch,
@@ -1283,9 +1234,6 @@ impl SwapPlane for ShardedSfm {
             t.swap.cpu_executions.inc();
             t.swap.zpool_load_ns.record(fetch_ns);
             t.swap.swap_in_ns.record(total);
-            t.swap.span(SwapStage::Fault, page.index(), 0, total, cause);
-            t.swap
-                .span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
             t.swap.lifecycle_event_for(
                 LifecycleStage::Fault,
                 cause,
@@ -1306,13 +1254,6 @@ impl SwapPlane for ShardedSfm {
             );
             if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
                 t.swap.decompress_ns.record(decomp_ns);
-                t.swap.span(
-                    SwapStage::Decompress,
-                    page.index(),
-                    fetch_ns,
-                    decomp_ns,
-                    Cause::Ok,
-                );
                 t.swap.lifecycle_event_for(
                     LifecycleStage::Decompress,
                     Cause::Ok,

@@ -27,7 +27,7 @@ mod counting_alloc;
 
 use counting_alloc::count_allocs;
 use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
-use xfm_telemetry::Registry;
+use xfm_telemetry::{Cause, LifecycleStage, Registry};
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
 
 const SHARDS: usize = 4;
@@ -117,7 +117,11 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
         pinned + WORKING_SET * rounds
     );
     assert_eq!(s.counters["xfm_swap_ins_total"], WORKING_SET * rounds);
-    assert!(!s.spans.is_empty());
+    assert!(s
+        .events
+        .iter()
+        .any(|e| e.stage == LifecycleStage::Compress && e.cause == Cause::SameFilled));
+    assert!(s.events.iter().any(|e| e.stage == LifecycleStage::Fault));
 
     // ---- Phase 2: real codec pages, traced == plain ----
     let codec_pages: Vec<(PageNumber, Vec<u8>)> = (0..WORKING_SET)

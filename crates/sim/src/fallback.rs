@@ -31,7 +31,8 @@ use serde::{Deserialize, Serialize};
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_event::{EventQueue, VirtualClock};
-use xfm_telemetry::{Cause, Counter, Registry, SwapStage};
+use xfm_telemetry::lifecycle::NO_SHARD;
+use xfm_telemetry::{Cause, Counter, LifecycleStage, Registry};
 use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
 
 /// Sweep-point configuration.
@@ -199,8 +200,8 @@ struct Op {
 
 /// Per-cause fallback telemetry (the replacement for the old stdout
 /// sweep probe): each CPU fallback and deferral is attributed to its
-/// structural hazard, and spans tag individual events on the trace ring
-/// with simulated-time starts (`window × tREFI`).
+/// structural hazard, and individual events land on the lifecycle trail
+/// with `page` = the refresh window and `aux` = the simulated time in ns.
 struct FallbackTelemetry {
     queue_full: Arc<Counter>,
     spm_exhausted: Arc<Counter>,
@@ -222,8 +223,10 @@ impl FallbackTelemetry {
         }
     }
 
-    fn event(&self, stage: SwapStage, window: u64, at_ns: u64, cause: Cause) {
-        self.registry.trace().record(stage, window, at_ns, 0, cause);
+    fn event(&self, stage: LifecycleStage, window: u64, at_ns: u64, cause: Cause) {
+        self.registry
+            .lifecycle()
+            .record(stage, cause, window, NO_SHARD, at_ns, 0);
     }
 }
 
@@ -252,8 +255,8 @@ pub fn simulate(cfg: &FallbackConfig) -> FallbackReport {
 /// `registry`: counters `xfm_sim_queue_full_fallbacks_total`,
 /// `xfm_sim_spm_exhausted_stalls_total`, `xfm_sim_deadline_spills_total`,
 /// `xfm_sim_subarray_conflicts_total`, and `xfm_sim_nma_completed_total`,
-/// plus cause-tagged spans on the trace ring. The report is identical to
-/// [`simulate`] for the same configuration.
+/// plus cause-tagged events on the lifecycle trail. The report is
+/// identical to [`simulate`] for the same configuration.
 #[must_use]
 pub fn simulate_traced(cfg: &FallbackConfig, registry: &Registry) -> FallbackReport {
     simulate_inner(cfg, Some(registry))
@@ -302,7 +305,12 @@ impl SimState<'_> {
             self.report.fallbacks += 1;
             if let Some(t) = &self.telemetry {
                 t.queue_full.inc();
-                t.event(SwapStage::Compress, w, w * self.t_refi_ns, Cause::QueueFull);
+                t.event(
+                    LifecycleStage::Compress,
+                    w,
+                    w * self.t_refi_ns,
+                    Cause::QueueFull,
+                );
             }
             return;
         }
@@ -362,7 +370,7 @@ impl SimState<'_> {
                 self.report.fallbacks += 1;
                 if let Some(t) = &self.telemetry {
                     t.queue_full.inc();
-                    t.event(SwapStage::Fault, w, now_ns, Cause::QueueFull);
+                    t.event(LifecycleStage::Fault, w, now_ns, Cause::QueueFull);
                 }
                 continue;
             }
@@ -394,7 +402,7 @@ impl SimState<'_> {
                 self.report.subarray_conflicts += 1;
                 if let Some(t) = &self.telemetry {
                     t.subarray_conflicts.inc();
-                    t.event(SwapStage::Fetch, w, now_ns, Cause::SubarrayConflict);
+                    t.event(LifecycleStage::Fetch, w, now_ns, Cause::SubarrayConflict);
                 }
                 break; // conflicting op retries next window
             }
@@ -448,7 +456,7 @@ impl SimState<'_> {
                         stalled.push(op);
                         if let Some(t) = &self.telemetry {
                             t.spm_exhausted.inc();
-                            t.event(SwapStage::ZpoolStore, w, now_ns, Cause::SpmExhausted);
+                            t.event(LifecycleStage::ZpoolStore, w, now_ns, Cause::SpmExhausted);
                         }
                         continue; // SPM stall: skip, keep draining
                     }
@@ -505,7 +513,7 @@ impl SimState<'_> {
             self.report.fallbacks += 1;
             if let Some(t) = &self.telemetry {
                 t.deadline_spills.inc();
-                t.event(SwapStage::Fault, w, now_ns, Cause::DeadlineSpill);
+                t.event(LifecycleStage::Fault, w, now_ns, Cause::DeadlineSpill);
             }
         }
     }
@@ -786,7 +794,7 @@ mod probe {
         };
         let registry = Registry::new();
         assert_eq!(simulate(&c), simulate_traced(&c, &registry));
-        // An overloaded point leaves cause-tagged spans on the ring.
+        // An overloaded point leaves cause-tagged events on the trail.
         let overloaded = FallbackConfig {
             accesses_per_trfc: 1,
             ..c
@@ -794,8 +802,8 @@ mod probe {
         let _ = simulate_traced(&overloaded, &registry);
         let s = registry.snapshot();
         assert!(s
-            .spans
+            .events
             .iter()
-            .any(|sp| matches!(sp.cause, Cause::DeadlineSpill | Cause::QueueFull)));
+            .any(|e| matches!(e.cause, Cause::DeadlineSpill | Cause::QueueFull)));
     }
 }

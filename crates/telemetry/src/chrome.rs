@@ -132,8 +132,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::Cause;
     use crate::lifecycle::{LifecycleStage, LifecycleTrace};
-    use crate::trace::Cause;
 
     fn sample_trail() -> LifecycleTrace {
         let t = LifecycleTrace::with_capacity(32);

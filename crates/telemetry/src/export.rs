@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::trace::Span;
+use crate::lifecycle::LifecycleEvent;
 
 /// Summary of one histogram at snapshot time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,10 +77,10 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Retained trace spans, oldest first.
-    pub spans: Vec<Span>,
-    /// Spans evicted from the ring before this snapshot.
-    pub spans_dropped: u64,
+    /// Retained lifecycle-trail events, oldest first.
+    pub events: Vec<LifecycleEvent>,
+    /// Events evicted from the trail before this snapshot.
+    pub events_dropped: u64,
     /// Help text by metric family base name (see
     /// [`crate::Registry::describe`]); families without an entry get a
     /// placeholder `# HELP` in Prometheus exposition.
@@ -122,10 +122,15 @@ impl Snapshot {
     ///   "counters": {"name": 1},
     ///   "gauges": {"name": 0.5},
     ///   "histograms": {"name": {"count": 1, "p50": 3, ...}},
-    ///   "spans": [{"seq": 0, "stage": "compress", ...}],
-    ///   "spans_dropped": 0
+    ///   "events": [{"seq": 0, "stage": "compress", ...}],
+    ///   "events_dropped": 0
     /// }
     /// ```
+    ///
+    /// Each event carries every [`LifecycleEvent`] field except
+    /// `wall_ns`, so an export whose events all come from a simulator
+    /// (virtual time in `virt_ns`/`aux`, zero `dur_ns`) is
+    /// byte-identical from run to run.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -168,27 +173,30 @@ impl Snapshot {
                 h.p99
             ));
         }
-        out.push_str("\n  },\n  \"spans\": [");
+        out.push_str("\n  },\n  \"events\": [");
         first = true;
-        for s in &self.spans {
+        for e in &self.events {
             if !first {
                 out.push(',');
             }
             first = false;
             out.push_str(&format!(
-                "\n    {{\"seq\": {}, \"stage\": \"{}\", \"page\": {}, \"start_ns\": {}, \
-                 \"dur_ns\": {}, \"cause\": \"{}\"}}",
-                s.seq,
-                s.stage.name(),
-                s.page,
-                s.start_ns,
-                s.dur_ns,
-                s.cause.name()
+                "\n    {{\"seq\": {}, \"stage\": \"{}\", \"cause\": \"{}\", \"page\": {}, \
+                 \"shard\": {}, \"tenant\": {}, \"aux\": {}, \"virt_ns\": {}, \"dur_ns\": {}}}",
+                e.seq,
+                e.stage.name(),
+                e.cause.name(),
+                e.page,
+                e.shard,
+                e.tenant.as_u16(),
+                e.aux,
+                e.virt_ns,
+                e.dur_ns
             ));
         }
         out.push_str(&format!(
-            "\n  ],\n  \"spans_dropped\": {}\n}}\n",
-            self.spans_dropped
+            "\n  ],\n  \"events_dropped\": {}\n}}\n",
+            self.events_dropped
         ));
         out
     }
@@ -200,9 +208,9 @@ impl Snapshot {
     /// `_count`). Every metric family gets a `# HELP` and `# TYPE`
     /// header (help text from [`Snapshot::help`], with a placeholder
     /// when none was registered), and label values are escaped per the
-    /// exposition-format spec (backslash, double-quote, newline). Spans
-    /// are not representable in Prometheus text and are omitted (use
-    /// [`Snapshot::to_json`] for traces).
+    /// exposition-format spec (backslash, double-quote, newline). Lifecycle
+    /// events are not representable in Prometheus text and are omitted
+    /// (use [`Snapshot::to_json`] for traces).
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -372,8 +380,8 @@ fn split_labels(name: &str) -> (&str, &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{Cause, LifecycleStage, NO_SHARD};
     use crate::registry::Registry;
-    use crate::trace::{Cause, SwapStage};
 
     fn sample() -> Snapshot {
         let r = Registry::new();
@@ -384,8 +392,14 @@ mod tests {
         for v in [100u64, 200, 300, 4000] {
             h.record(v);
         }
-        r.trace()
-            .record(SwapStage::Fault, 42, 0, 900, Cause::CpuFallback);
+        r.lifecycle().record(
+            LifecycleStage::Fault,
+            Cause::CpuFallback,
+            42,
+            NO_SHARD,
+            7,
+            900,
+        );
         r.snapshot()
     }
 
@@ -395,8 +409,12 @@ mod tests {
         assert!(j.contains("\"xfm_swap_outs_total\": 12"));
         assert!(j.contains("xfm_refresh_window_utilization{rank=\\\"0\\\"}"));
         assert!(j.contains("\"count\": 4"));
-        assert!(j.contains("\"cause\": \"cpu_fallback\""));
-        assert!(j.contains("\"spans_dropped\": 0"));
+        assert!(j.contains(
+            "\"stage\": \"fault\", \"cause\": \"cpu_fallback\", \"page\": 42, \
+             \"shard\": 4294967295, \"tenant\": 0, \"aux\": 7, \"virt_ns\": 0, \"dur_ns\": 900"
+        ));
+        assert!(!j.contains("wall_ns"));
+        assert!(j.contains("\"events_dropped\": 0"));
     }
 
     #[test]

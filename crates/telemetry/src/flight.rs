@@ -261,8 +261,8 @@ pub fn validate_dump(json: &str) -> Result<DumpSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::Cause;
     use crate::lifecycle::LifecycleStage;
-    use crate::trace::Cause;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =

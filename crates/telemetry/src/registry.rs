@@ -10,9 +10,9 @@ use crate::counter::{Counter, Gauge};
 use crate::export::Snapshot;
 use crate::hist::Histogram;
 use crate::lifecycle::LifecycleTrace;
-use crate::trace::SpanTrace;
 
-/// A registry of named counters, gauges, histograms, and one span trace.
+/// A registry of named counters, gauges, histograms, and one lifecycle
+/// trail.
 ///
 /// `Registry` is a handle (`Clone` is an `Arc` bump) designed so that
 /// *registration* is the only synchronized operation: components look up
@@ -46,14 +46,13 @@ struct Inner {
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     help: Mutex<BTreeMap<String, String>>,
-    trace: SpanTrace,
     clock: ClockMirror,
     lifecycle: LifecycleTrace,
 }
 
 impl Registry {
-    /// Creates an empty registry with a default-capacity span trace and
-    /// lifecycle trail.
+    /// Creates an empty registry with a default-capacity lifecycle
+    /// trail.
     #[must_use]
     pub fn new() -> Self {
         let clock = ClockMirror::new();
@@ -63,7 +62,6 @@ impl Registry {
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 help: Mutex::new(BTreeMap::new()),
-                trace: SpanTrace::new(),
                 clock: clock.clone(),
                 lifecycle: LifecycleTrace::with_clock(
                     crate::lifecycle::DEFAULT_LIFECYCLE_CAPACITY,
@@ -109,12 +107,6 @@ impl Registry {
         h
     }
 
-    /// The swap-path span trace.
-    #[must_use]
-    pub fn trace(&self) -> &SpanTrace {
-        &self.inner.trace
-    }
-
     /// The page-lifecycle audit trail (see [`crate::lifecycle`]).
     #[must_use]
     pub fn lifecycle(&self) -> &LifecycleTrace {
@@ -145,7 +137,7 @@ impl Registry {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Captures every metric and the retained spans.
+    /// Captures every metric and the retained lifecycle events.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -170,8 +162,8 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            spans: self.inner.trace.snapshot(),
-            spans_dropped: self.inner.trace.dropped(),
+            events: self.inner.lifecycle.snapshot(),
+            events_dropped: self.inner.lifecycle.dropped(),
             help: self.inner.help.lock().clone(),
         }
     }
@@ -211,19 +203,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_contains_spans() {
-        use crate::trace::{Cause, SwapStage};
+    fn snapshot_contains_lifecycle_events() {
+        use crate::lifecycle::{Cause, LifecycleStage};
         let r = Registry::new();
-        r.trace().record(SwapStage::Compress, 1, 0, 10, Cause::Ok);
+        r.lifecycle()
+            .record(LifecycleStage::Compress, Cause::Ok, 1, 0, 0, 10);
         let s = r.snapshot();
-        assert_eq!(s.spans.len(), 1);
-        assert_eq!(s.spans_dropped, 0);
+        assert_eq!(s.events.len(), 1);
+        assert_eq!(s.events[0].stage, LifecycleStage::Compress);
+        assert_eq!(s.events[0].dur_ns, 10);
+        assert_eq!(s.events_dropped, 0);
     }
 
     #[test]
     fn lifecycle_trail_shares_the_registry_clock() {
-        use crate::lifecycle::LifecycleStage;
-        use crate::trace::Cause;
+        use crate::lifecycle::{Cause, LifecycleStage};
         use xfm_types::Nanos;
         let r = Registry::new();
         r.clock_mirror().publish(Nanos::from_us(5));

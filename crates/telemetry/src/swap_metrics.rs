@@ -9,9 +9,8 @@ use std::sync::Arc;
 
 use crate::counter::Counter;
 use crate::hist::Histogram;
-use crate::lifecycle::{LifecycleStage, LifecycleTrace};
+use crate::lifecycle::{Cause, LifecycleStage, LifecycleTrace};
 use crate::registry::Registry;
-use crate::trace::{Cause, SpanTrace, SwapStage};
 
 /// Pre-registered handles for every swap-path metric.
 ///
@@ -67,7 +66,7 @@ pub struct SwapMetrics {
     pub zpool_load_ns: Arc<Histogram>,
     /// Modeled DRAM access latency (simulated ns).
     pub dram_access_ns: Arc<Histogram>,
-    /// The shared registry (for span recording).
+    /// The shared registry (for lifecycle recording).
     registry: Registry,
 }
 
@@ -97,19 +96,6 @@ impl SwapMetrics {
             dram_access_ns: registry.histogram("xfm_dram_access_latency_ns"),
             registry: registry.clone(),
         }
-    }
-
-    /// The span trace of the shared registry.
-    #[must_use]
-    pub fn trace(&self) -> &SpanTrace {
-        self.registry.trace()
-    }
-
-    /// Records a span on the shared trace.
-    pub fn span(&self, stage: SwapStage, page: u64, start_ns: u64, dur_ns: u64, cause: Cause) {
-        self.registry
-            .trace()
-            .record(stage, page, start_ns, dur_ns, cause);
     }
 
     /// The page-lifecycle audit trail of the shared registry.
@@ -255,7 +241,7 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Cause, SwapStage};
+    use crate::lifecycle::NO_SHARD;
 
     #[test]
     fn register_binds_standard_names() {
@@ -264,12 +250,20 @@ mod tests {
         m.swap_outs.inc();
         m.nma_executions.inc();
         m.swap_out_ns.record(500);
-        m.span(SwapStage::Compress, 3, 0, 500, Cause::NmaOffload);
+        m.lifecycle_event(
+            LifecycleStage::Compress,
+            Cause::NmaOffload,
+            3,
+            NO_SHARD,
+            0,
+            500,
+        );
         let s = r.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 1);
         assert_eq!(s.counters["xfm_nma_executions_total"], 1);
         assert_eq!(s.histograms["xfm_swap_out_latency_ns"].count, 1);
-        assert_eq!(s.spans.len(), 1);
+        assert_eq!(s.events.len(), 1);
+        assert_eq!(s.events[0].cause, Cause::NmaOffload);
     }
 
     #[test]

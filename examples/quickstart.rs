@@ -94,13 +94,13 @@ fn main() -> xfm::types::Result<()> {
     }
     let util = snap.gauges[r#"xfm_refresh_window_utilization{rank="0"}"#];
     println!("refresh-window utilization (rank 0): {:.4}%", util * 100.0);
-    if let Some(span) = snap.spans.last() {
+    if let Some(event) = snap.events.last() {
         println!(
-            "last traced span: stage {} page {} cause {} ({} spans retained)",
-            span.stage.name(),
-            span.page,
-            span.cause.name(),
-            snap.spans.len()
+            "last lifecycle event: stage {} page {} cause {} ({} events retained)",
+            event.stage.name(),
+            event.page,
+            event.cause.name(),
+            snap.events.len()
         );
     }
     println!("(full registry: snapshot().to_json() / to_prometheus())");
